@@ -7,7 +7,6 @@ branching routes, and (at small rank) a brute-force oracle over explicitly
 enumerated group elements.
 """
 
-from hobchar._backend import BACKEND
 from hobchar.chains import (
     chain_compose,
     hob_chain,

@@ -1,4 +1,5 @@
-"""Partitions, sign-flag vectors, and the constrained cell-matrix enumerator.
+"""Partitions, sign-flag vectors, the constrained cell-matrix enumerator,
+and the cycle-placement recursion that fills the induced tables.
 
 Everything here is exact integer combinatorics.  The orderings are part of
 the API: table rows and columns downstream are compared entry-by-entry
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 
 @dataclass(frozen=True, order=True)
@@ -227,6 +228,81 @@ def enumerate_cell_matrices(class_exponents, parts, *, signed=False, parity_mask
     )
     out.sort(key=CellMatrix.flattened)
     return out
+
+
+def _count_placements(cycles, parts, flags) -> int:
+    """Ways to put each labelled cycle into a part so that every part is
+    filled exactly and every flag-1 part holds an even number of negative
+    cycles.
+
+    ``cycles`` lists (length, 1 if negative else 0), longest first.  The
+    recursion places one cycle at a time; a part's state is (remaining
+    capacity, flag, parity of the negative cycles it holds), and a filled
+    part leaves the state.  Each subproblem is memoized on (cycle index,
+    sorted states) for this call only, and parts in equal states are
+    counted once, times their number.
+    """
+
+    @cache
+    def place(i, states):
+        if i == len(cycles):
+            return 1
+        length, negative = cycles[i]
+        total = 0
+        j = 0
+        while j < len(states) and states[j][0] >= length:
+            same = 1
+            while j + same < len(states) and states[j + same] == states[j]:
+                same += 1
+            cap, flag, parity = states[j]
+            cap -= length
+            parity ^= flag & negative
+            if cap or not parity:
+                rest = states[:j] + states[j + 1 :]
+                if cap:
+                    rest = tuple(sorted(rest + ((cap, flag, parity),), reverse=True))
+                total += same * place(i + 1, rest)
+            j += same
+        return total
+
+    if sum(length for length, _ in cycles) != sum(parts):
+        return 0
+    states = sorted(((p, f, 0) for p, f in zip(parts, flags)), reverse=True)
+    return place(0, tuple(states))
+
+
+def _cycles(exponents, negative=0):
+    return [
+        (length, negative)
+        for length in range(len(exponents), 0, -1)
+        for _ in range(exponents[length - 1])
+    ]
+
+
+def induced_value(exponents, parts) -> int:
+    """Value of the S_n character induced from the trivial character of the
+    Young subgroup with ``parts``, at the class whose ``exponents[i]``
+    counts its (i+1)-cycles.
+
+    It counts the ways to put each labelled cycle into a part so that
+    every part is filled exactly: the coefficient of x^parts in the
+    product of power sums p_mu (Macdonald, I.6).  A total-weight mismatch
+    gives 0.
+    """
+    return _count_placements(_cycles(exponents), parts, (0,) * len(parts))
+
+
+def signed_induced_value(pos, neg, parts, flags) -> int:
+    """Value of the rank-N character induced from the identity of the
+    canonical subgroup (``parts``, ``flags``) at the class with ``pos[i]``
+    positive and ``neg[i]`` negative (i+1)-cycles.
+
+    2 per flag-1 part times the placements of labelled cycles that fill
+    every part exactly and put an even number of negative cycles into each
+    flag-1 part.  A total-weight mismatch gives 0.
+    """
+    cycles = sorted(_cycles(pos) + _cycles(neg, 1), reverse=True)
+    return (1 << sum(flags)) * _count_placements(cycles, parts, flags)
 
 
 def even_partition_count(m: int) -> int:

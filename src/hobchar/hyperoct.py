@@ -16,9 +16,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from hobchar import _backend
-from hobchar.combinatorics import Partition, partitions, sign_flag_vectors
-from hobchar.tables import CharacterTable, WeightVector, weighted_gram_schmidt
+from hobchar.combinatorics import (
+    Partition,
+    partitions,
+    sign_flag_vectors,
+    signed_induced_value,
+)
+from hobchar.tables import (
+    CharacterTable,
+    ExactnessError,
+    WeightVector,
+    weighted_gram_schmidt,
+)
 
 
 def group_order(n: int) -> int:
@@ -75,7 +84,8 @@ class AlphaSystem:
             num *= 2 ** (a * i)
             denom *= (i + 1) ** a * factorial(p) * factorial(q)
         order, r = divmod(num, denom)
-        assert r == 0
+        if r:
+            raise ExactnessError(f"class order of {self.label!r} is not an integer")
         return order
 
 
@@ -119,7 +129,8 @@ class SignedSubgroupLabel:
 
     def index(self) -> int:
         idx, r = divmod(group_order(self.weight), self.subgroup_order())
-        assert r == 0
+        if r:
+            raise ExactnessError(f"index of subgroup {self.label!r} is not an integer")
         return idx
 
     def alpha_system(self) -> AlphaSystem:
@@ -171,7 +182,7 @@ def hob_induced_char(subgroup: SignedSubgroupLabel, alpha: AlphaSystem) -> int:
             f"weight mismatch: subgroup {subgroup.label!r} has weight "
             f"{subgroup.weight}, class {alpha.label!r} has weight {alpha.weight}"
         )
-    return _backend.hob_char_value(
+    return signed_induced_value(
         alpha.pos, alpha.neg, subgroup.partition.parts, subgroup.flags
     )
 
@@ -181,7 +192,7 @@ def hob_induced_table(n: int) -> CharacterTable:
     classes = hob_classes(n)
     rows = tuple(
         tuple(
-            _backend.hob_char_value(a.pos, a.neg, label.partition.parts, label.flags)
+            signed_induced_value(a.pos, a.neg, label.partition.parts, label.flags)
             for a, _ in classes
         )
         for label, _ in hob_subgroups(n)

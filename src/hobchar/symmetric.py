@@ -12,9 +12,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from hobchar import _backend
-from hobchar.combinatorics import Partition, partitions
-from hobchar.tables import CharacterTable, WeightVector, weighted_gram_schmidt
+from hobchar.combinatorics import Partition, induced_value, partitions
+from hobchar.tables import (
+    CharacterTable,
+    ExactnessError,
+    WeightVector,
+    weighted_gram_schmidt,
+)
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,8 @@ class CycleType:
         for i, e in enumerate(self.exponents):
             denom *= (i + 1) ** e * factorial(e)
         order, r = divmod(factorial(n), denom)
-        assert r == 0
+        if r:
+            raise ExactnessError(f"class order of {self.label!r} is not an integer")
         return order
 
 
@@ -90,7 +95,7 @@ def sym_induced_char(lam: Partition, cycle_type: CycleType) -> int:
             f"weight mismatch: partition {lam.label!r} has weight {lam.weight}, "
             f"class {cycle_type.label!r} has weight {cycle_type.weight}"
         )
-    return _backend.sym_char_value(cycle_type.exponents, lam.parts)
+    return induced_value(cycle_type.exponents, lam.parts)
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +103,7 @@ def sym_induced_table(n: int) -> CharacterTable:
     """The induced table: rows over partitions of n, columns over classes."""
     classes = sym_classes(n)
     rows = tuple(
-        tuple(_backend.sym_char_value(ct.exponents, lam.parts) for ct, _ in classes)
+        tuple(induced_value(ct.exponents, lam.parts) for ct, _ in classes)
         for lam in partitions(n)
     )
     return CharacterTable(

@@ -8,6 +8,9 @@ elimination) so agreement is meaningful.
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
+
+from hobchar.combinatorics import enumerate_cell_matrices
 
 
 @lru_cache(maxsize=None)
@@ -99,10 +102,45 @@ def brute_signed_cell_matrices(pos, neg, parts, mask):
     return out
 
 
+def _multinomial(total, counts):
+    return factorial(total) // prod(map(factorial, counts))
+
+
+def _padded(seq, length):
+    seq = tuple(seq)
+    return seq + (0,) * (length - len(seq))
+
+
+def fold_induced_value(exponents, parts):
+    """Induced S_n character value for one cell, as the sum over every cell
+    matrix of the per-length multinomial products."""
+    total = 0
+    for m in enumerate_cell_matrices(tuple(exponents), tuple(parts)):
+        term = 1
+        for e, row in zip(_padded(exponents, len(m.entries)), m.entries):
+            term *= _multinomial(e, row)
+        total += term
+    return total
+
+
+def fold_signed_induced_value(pos, neg, parts, flags):
+    """Signed variant of :func:`fold_induced_value`: 2 per flag-1 part
+    times the fold over the signed cell matrices."""
+    total = 0
+    for m in enumerate_cell_matrices(
+        (tuple(pos), tuple(neg)), tuple(parts), signed=True, parity_mask=flags
+    ):
+        term = 1
+        for e, row in zip(_padded(pos, len(m.entries)), m.entries):
+            term *= _multinomial(e, row)
+        for e, row in zip(_padded(neg, len(m.neg_entries)), m.neg_entries):
+            term *= _multinomial(e, row)
+        total += term
+    return (1 << sum(flags)) * total
+
+
 def hook_length_degree(parts):
     """Irreducible degree for a partition via the hook-length product."""
-    from math import factorial
-
     parts = tuple(parts)
     cols = [0] * (parts[0] if parts else 0)
     for p in parts:

@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from hobchar import hyperoct, symmetric
 from hobchar.combinatorics import Partition
 from hobchar.hyperoct import (
     AlphaSystem,
@@ -11,7 +14,9 @@ from hobchar.hyperoct import (
     hob_irreducible_table,
     hob_subgroups,
 )
+from hobchar.symmetric import CycleType
 from hobchar.tables import (
+    ExactnessError,
     first_column_orthogonality_failure,
     first_orthogonality_failure,
     mat_mul,
@@ -148,3 +153,19 @@ class TestIrreducibleTable:
     def test_degree_sum_of_squares(self, n):
         y, _ = hob_irreducible_table(n)
         assert sum(row[0] ** 2 for row in y.entries) == group_order(n)
+
+
+def test_inexact_orders_raise_exactness_error(monkeypatch):
+    # A wrong factorial leaves a remainder in every exact division below;
+    # the check must raise even under ``python -O``.
+    def off_by_one(k):
+        return math.factorial(k) + 1
+
+    monkeypatch.setattr(symmetric, "factorial", off_by_one)
+    monkeypatch.setattr(hyperoct, "factorial", off_by_one)
+    with pytest.raises(ExactnessError):
+        CycleType((0, 1)).class_order()
+    with pytest.raises(ExactnessError):
+        AlphaSystem((0, 1), (0, 0)).class_order()
+    with pytest.raises(ExactnessError):
+        sub((1, 1), (0, 0)).index()

@@ -1,0 +1,119 @@
+"""The capacity recursion behind both induced tables, checked against the
+multinomial fold over every cell matrix and against closed forms at sizes
+whose values no longer fit in 64 bits."""
+
+import itertools
+import random
+from math import factorial, prod
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hobchar.combinatorics import (
+    induced_value,
+    partitions,
+    sign_flag_vectors,
+    signed_induced_value,
+)
+from hobchar.symmetric import CycleType
+
+from _oracles import fold_induced_value, fold_signed_induced_value
+
+
+def signed_class(mu, negative):
+    """(pos, neg) exponent vectors of the class whose cycles are the parts
+    of ``mu``, the i-th negative when ``negative[i]`` is 1."""
+    pos = [0] * mu[0]
+    neg = [0] * mu[0]
+    for p, s in zip(mu, negative):
+        (neg if s else pos)[p - 1] += 1
+    return tuple(pos), tuple(neg)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_unsigned_full_grid(n):
+    for lam in partitions(n):
+        for mu in partitions(n):
+            exps = CycleType.from_partition(mu).exponents
+            assert induced_value(exps, lam.parts) == fold_induced_value(exps, lam.parts)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_signed_full_grid(n):
+    classes = [
+        signed_class(mu, negative)
+        for mu in partitions(n)
+        for negative in sign_flag_vectors(mu)
+    ]
+    for lam in partitions(n):
+        for flags in itertools.product((0, 1), repeat=len(lam)):
+            for pos, neg in classes:
+                got = signed_induced_value(pos, neg, lam.parts, flags)
+                assert got == fold_signed_induced_value(pos, neg, lam.parts, flags)
+
+
+@given(st.integers(min_value=1, max_value=10), st.data())
+@settings(max_examples=60, deadline=None)
+def test_random_unsigned_cells(n, data):
+    lam = data.draw(st.sampled_from(partitions(n)))
+    mu = data.draw(st.sampled_from(partitions(n)))
+    exps = CycleType.from_partition(mu).exponents
+    assert induced_value(exps, lam.parts) == fold_induced_value(exps, lam.parts)
+
+
+@given(st.integers(min_value=1, max_value=5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_random_signed_cells(n, data):
+    lam = data.draw(st.sampled_from(partitions(n)))
+    flags = data.draw(st.tuples(*(st.integers(0, 1) for _ in lam)))
+    mu = data.draw(st.sampled_from(partitions(n)))
+    pos, neg = signed_class(mu, data.draw(st.tuples(*(st.integers(0, 1) for _ in mu))))
+    got = signed_induced_value(pos, neg, lam.parts, flags)
+    assert got == fold_signed_induced_value(pos, neg, lam.parts, flags)
+
+
+def test_weight_mismatch_is_zero():
+    assert induced_value((1,), (2,)) == 0
+    assert signed_induced_value((1,), (0,), (2,), (0,)) == 0
+    assert signed_induced_value((0,), (0, 1), (3,), (1,)) == 0
+
+
+# Past the int64 range: 21! and 2**17 * 17! both exceed 2**63.
+DEGREE = 21
+RANK = 17
+
+
+def sample(seq, k, seed=0):
+    return random.Random(seed).sample(list(seq), k)
+
+
+def test_identity_column_is_index_past_int64():
+    rows = sample(partitions(DEGREE), 40) + [partitions(DEGREE)[-1]]
+    for lam in rows:
+        index = factorial(DEGREE) // prod(map(factorial, lam))
+        assert induced_value((DEGREE,), lam.parts) == index
+    assert induced_value((DEGREE,), (1,) * DEGREE) == factorial(DEGREE) > 2**63
+
+
+def test_signed_identity_column_is_index_past_int64():
+    labels = [
+        (lam, flags)
+        for lam in sample(partitions(RANK), 20)
+        for flags in sample(sign_flag_vectors(lam), 2, seed=len(lam))
+    ]
+    labels.append((partitions(RANK)[-1], (1,) * RANK))
+    for lam, flags in labels:
+        subgroup = prod(2 ** (p - f) * factorial(p) for p, f in zip(lam, flags))
+        index = 2**RANK * factorial(RANK) // subgroup
+        assert signed_induced_value((RANK,), (), lam.parts, flags) == index
+    assert signed_induced_value((RANK,), (), (1,) * RANK, (1,) * RANK) > 2**63
+
+
+def test_whole_group_row_is_ones():
+    for mu in partitions(DEGREE):
+        assert induced_value(CycleType.from_partition(mu).exponents, (DEGREE,)) == 1
+    rng = random.Random(0)
+    for mu in sample(partitions(RANK), 60):
+        pos, neg = signed_class(mu, [rng.randint(0, 1) for _ in mu])
+        assert signed_induced_value(pos, neg, (RANK,), (0,)) == 1
