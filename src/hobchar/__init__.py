@@ -1,7 +1,7 @@
 """Exact character tables and branching matrices for symmetric and
 signed-permutation (hyperoctahedral) groups.
 
-All results are exact integers or rationals; every table is cross-checked
+All results are exact integers; every table is cross-checked
 by orthogonality relations, a consistency identity between the two
 branching routes, and (at small rank) a brute-force oracle over explicitly
 enumerated group elements.
@@ -40,7 +40,6 @@ from hobchar.hyperoct import (
     hob_induced_table,
     hob_irreducible_table,
     hob_subgroups,
-    hob_weights,
 )
 from hobchar.reduction import (
     BranchingMatrix,
@@ -55,13 +54,11 @@ from hobchar.symmetric import (
     sym_induced_char,
     sym_induced_table,
     sym_irreducible_table,
-    sym_weights,
 )
 from hobchar.tables import (
     CharacterTable,
     ExactnessError,
     TransitionMatrix,
-    WeightVector,
     weighted_gram_schmidt,
 )
 

@@ -12,7 +12,7 @@ branching matrix of :func:`hobchar.reduction.reduce_irreducible`.
 from __future__ import annotations
 
 from hobchar.combinatorics import Partition, partitions
-from hobchar.hyperoct import AlphaSystem, hob_classes, hob_irreducible_table, hob_weights
+from hobchar.hyperoct import AlphaSystem, hob_classes, hob_irreducible_table
 from hobchar.reduction import BranchingMatrix, _checked_branching, reduce_irreducible
 from hobchar.reports import CheckReport, compare_matrices
 from hobchar.tables import mat_mul
@@ -53,7 +53,6 @@ def hob_restriction_matrix(n: int) -> BranchingMatrix:
         raise ValueError("n must be >= 2")
     y_big, _ = hob_irreducible_table(n)
     y_small, _ = hob_irreducible_table(n - 1)
-    w = hob_weights(n - 1)
     big_col = {alpha.label: c for c, (alpha, _) in enumerate(hob_classes(n))}
 
     def lifted(alpha: AlphaSystem) -> str:
@@ -61,13 +60,14 @@ def hob_restriction_matrix(n: int) -> BranchingMatrix:
         return AlphaSystem(pos, alpha.neg).label
 
     picks = [big_col[lifted(alpha)] for alpha, _ in hob_classes(n - 1)]
+    what = "restriction multiplicity"
     raw = []
     for i in range(y_big.nrows):
         restricted = [y_big.row(i)[c] for c in picks]
-        raw.append([w.inner(restricted, y_small.row(k)) for k in range(y_small.nrows)])
-    return _checked_branching(
-        y_big.row_labels, y_small.row_labels, raw, "restriction multiplicity"
-    )
+        raw.append(
+            [y_small.inner(restricted, y_small.row(k), what) for k in range(y_small.nrows)]
+        )
+    return _checked_branching(y_big.row_labels, y_small.row_labels, raw, what)
 
 
 def chain_compose(matrices) -> BranchingMatrix:

@@ -2,7 +2,8 @@
 
 Subcommands: ``classes``, ``table``, ``branch``, ``fchar``, ``verify``.
 Exit codes: 0 on success (all checks pass), 1 when a verification check
-fails, 2 on usage or domain errors.
+fails, 2 on usage or domain errors and on arithmetic faults (an
+:class:`~hobchar.tables.ExactnessError` from an inconsistent table).
 
 The table cache directory comes from ``--cache-dir``, falling back to the
 ``HOBCHAR_CACHE_DIR`` environment variable; ``--no-cache`` disables both.
@@ -326,7 +327,7 @@ def run(argv=None) -> int:
             warnings.simplefilter("ignore", CacheWarning)
         try:
             return args.func(args)
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

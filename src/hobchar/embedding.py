@@ -16,7 +16,7 @@ from math import factorial
 
 from hobchar.hyperoct import AlphaSystem, group_order, hob_classes
 from hobchar.symmetric import CycleType, sym_classes, sym_irreducible_table
-from hobchar.tables import CharacterTable
+from hobchar.tables import CharacterTable, ExactnessError, exact_div
 
 
 def fuse_class(alpha: AlphaSystem, n: int | None = None) -> CycleType:
@@ -84,7 +84,10 @@ def fusion_map(n: int) -> FusionMap:
         c = col_index[image.label]
         fibers[c].append(k)
         inter[c] += order
-    assert sum(inter) == group_order(n)
+    if sum(inter) != group_order(n):
+        raise ExactnessError(
+            f"intersection orders sum to {sum(inter)}, not the group order {group_order(n)}"
+        )
     return FusionMap(
         n=n,
         images=tuple(images),
@@ -107,13 +110,10 @@ def permutation_character_F(n: int) -> tuple[int, ...]:
     (2N-1)(2N-3)...1."""
     inter = intersection_orders(n)
     index = factorial(2 * n) // group_order(n)
-    values = []
-    for (_, class_order), m in zip(sym_classes(2 * n), inter):
-        val, r = divmod(index * m, class_order)
-        if r:
-            raise ArithmeticError("coset character value is not integral")
-        values.append(val)
-    return tuple(values)
+    return tuple(
+        exact_div(index * m, class_order, "coset character value")
+        for (_, class_order), m in zip(sym_classes(2 * n), inter)
+    )
 
 
 def modify_table(table: CharacterTable, n: int) -> CharacterTable:

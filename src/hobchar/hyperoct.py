@@ -22,12 +22,7 @@ from hobchar.combinatorics import (
     sign_flag_vectors,
     signed_induced_value,
 )
-from hobchar.tables import (
-    CharacterTable,
-    ExactnessError,
-    WeightVector,
-    weighted_gram_schmidt,
-)
+from hobchar.tables import CharacterTable, exact_div, weighted_gram_schmidt
 
 
 def group_order(n: int) -> int:
@@ -83,10 +78,7 @@ class AlphaSystem:
             a = p + q
             num *= 2 ** (a * i)
             denom *= (i + 1) ** a * factorial(p) * factorial(q)
-        order, r = divmod(num, denom)
-        if r:
-            raise ExactnessError(f"class order of {self.label!r} is not an integer")
-        return order
+        return exact_div(num, denom, f"class order of {self.label!r}")
 
 
 @dataclass(frozen=True)
@@ -128,10 +120,9 @@ class SignedSubgroupLabel:
         return order
 
     def index(self) -> int:
-        idx, r = divmod(group_order(self.weight), self.subgroup_order())
-        if r:
-            raise ExactnessError(f"index of subgroup {self.label!r} is not an integer")
-        return idx
+        return exact_div(
+            group_order(self.weight), self.subgroup_order(), f"index of subgroup {self.label!r}"
+        )
 
     def alpha_system(self) -> AlphaSystem:
         """The paired class: each part becomes one cycle of that length,
@@ -206,11 +197,6 @@ def hob_induced_table(n: int) -> CharacterTable:
     )
 
 
-def hob_weights(n: int) -> WeightVector:
-    orders = tuple(order for _, order in hob_classes(n))
-    return WeightVector.from_class_orders(orders, group_order(n))
-
-
 @lru_cache(maxsize=None)
 def hob_irreducible_table(n: int):
     """The irreducible table and unitriangular factor for rank n.
@@ -218,4 +204,4 @@ def hob_irreducible_table(n: int):
     Irreducible rows are identified by the subgroup label whose induced
     row produced them during the orthonormalization.
     """
-    return weighted_gram_schmidt(hob_induced_table(n), hob_weights(n))
+    return weighted_gram_schmidt(hob_induced_table(n))

@@ -191,7 +191,10 @@ def oracle_class_data(n: int) -> tuple[OracleClass, ...]:
                 ambient=ambient_cycle_type(rep, n),
             )
         )
-    assert sum(c.size for c in out) == len(elements)
+    if sum(c.size for c in out) != len(elements):
+        raise ExactnessError(
+            f"class sizes sum to {sum(c.size for c in out)}, not {len(elements)} elements"
+        )
     return tuple(out)
 
 
@@ -230,7 +233,10 @@ def subgroup_elements(n: int, label: SignedSubgroupLabel) -> tuple[SignedPermuta
             for c, s in block_signs.items():
                 signs[c - 1] = s
         out.append(SignedPermutation(tuple(perm), tuple(signs)))
-    assert len(out) == label.subgroup_order()
+    if len(out) != label.subgroup_order():
+        raise ExactnessError(
+            f"subgroup {label!r} has {len(out)} elements, expected {label.subgroup_order()}"
+        )
     return tuple(out)
 
 

@@ -8,10 +8,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from hobchar.embedding import modified_tables
-from hobchar.hyperoct import hob_induced_table, hob_irreducible_table, hob_weights
+from hobchar.hyperoct import hob_induced_table, hob_irreducible_table
 from hobchar.reports import CheckReport, compare_matrices
 from hobchar.symmetric import sym_irreducible_table
-from hobchar.tables import ExactnessError, _as_int, exact_solve, mat_mul, transpose
+from hobchar.tables import ExactnessError, exact_solve, mat_mul, transpose
 
 
 @dataclass(frozen=True)
@@ -46,17 +46,12 @@ class BranchingMatrix:
         return (len(self.row_labels), len(self.col_labels))
 
 
-def _checked_branching(row_labels, col_labels, raw_entries, what, nonneg=True):
-    entries = []
-    for row in raw_entries:
-        out = []
+def _checked_branching(row_labels, col_labels, entries, what):
+    for row in entries:
         for v in row:
-            v = _as_int(v, what)
-            if nonneg and v < 0:
+            if v < 0:
                 raise ExactnessError(f"{what} is negative: {v}")
-            out.append(v)
-        entries.append(tuple(out))
-    return BranchingMatrix(row_labels, col_labels, tuple(entries))
+    return BranchingMatrix(row_labels, col_labels, entries)
 
 
 def reduce_irreducible(n: int) -> BranchingMatrix:
@@ -65,14 +60,12 @@ def reduce_irreducible(n: int) -> BranchingMatrix:
     re-columned irreducible table against the orthonormal subgroup rows."""
     _, x_mod = modified_tables(n)
     y, _ = hob_irreducible_table(n)
-    w = hob_weights(n)
+    what = "restriction multiplicity"
     raw = [
-        [w.inner(x_row, y.row(k)) for k in range(y.nrows)]
+        [y.inner(x_row, y.row(k), what) for k in range(y.nrows)]
         for x_row in x_mod.entries
     ]
-    return _checked_branching(
-        x_mod.row_labels, y.row_labels, raw, "restriction multiplicity"
-    )
+    return _checked_branching(x_mod.row_labels, y.row_labels, raw, what)
 
 
 def reduce_induced(n: int) -> BranchingMatrix:
@@ -90,13 +83,7 @@ def reduce_induced(n: int) -> BranchingMatrix:
     # R I = phi'  <=>  I^T R^T = phi'^T; I is invertible (unitriangular
     # times an orthogonal-row table with positive weights).
     solution = exact_solve(transpose(table.entries), transpose(phi_mod.entries))
-    return _checked_branching(
-        phi_mod.row_labels,
-        table.row_labels,
-        transpose(solution),
-        "induced-content coefficient",
-        nonneg=False,
-    )
+    return BranchingMatrix(phi_mod.row_labels, table.row_labels, transpose(solution))
 
 
 def verify_consistency(n: int) -> CheckReport:

@@ -13,12 +13,7 @@ from functools import lru_cache
 from math import factorial
 
 from hobchar.combinatorics import Partition, induced_value, partitions
-from hobchar.tables import (
-    CharacterTable,
-    ExactnessError,
-    WeightVector,
-    weighted_gram_schmidt,
-)
+from hobchar.tables import CharacterTable, exact_div, weighted_gram_schmidt
 
 
 @dataclass(frozen=True)
@@ -68,10 +63,7 @@ class CycleType:
         denom = 1
         for i, e in enumerate(self.exponents):
             denom *= (i + 1) ** e * factorial(e)
-        order, r = divmod(factorial(n), denom)
-        if r:
-            raise ExactnessError(f"class order of {self.label!r} is not an integer")
-        return order
+        return exact_div(factorial(n), denom, f"class order of {self.label!r}")
 
 
 @lru_cache(maxsize=None)
@@ -115,14 +107,9 @@ def sym_induced_table(n: int) -> CharacterTable:
     )
 
 
-def sym_weights(n: int) -> WeightVector:
-    orders = tuple(order for _, order in sym_classes(n))
-    return WeightVector.from_class_orders(orders, factorial(n))
-
-
 @lru_cache(maxsize=None)
 def sym_irreducible_table(n: int):
     """The irreducible character table and the unitriangular transition
     factor, obtained by exact weighted orthonormalization of the induced
     table."""
-    return weighted_gram_schmidt(sym_induced_table(n), sym_weights(n))
+    return weighted_gram_schmidt(sym_induced_table(n))

@@ -1,8 +1,10 @@
 """Exact character-table containers and the weighted orthonormalization.
 
-All arithmetic is integer or ``fractions.Fraction``; floating point is
-banned from this package because every quantity it produces is an exact
-integer or rational and any rounding would be a silent bug.
+All arithmetic is integer arithmetic with checked exact division; floating
+point is banned from this package because every quantity it produces is an
+exact integer and any rounding would be a silent bug.  A weighted inner
+product is an integer class sum divided once by the group order, and a
+remainder raises :class:`ExactnessError`.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ class ExactnessError(ArithmeticError):
     """
 
 
-def _as_int(x, what="value"):
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    raise ExactnessError(f"{what} is not an exact integer: {x!r}")
+def exact_div(num, den, what="value"):
+    """``num / den`` as an integer; raises :class:`ExactnessError` when
+    ``den`` does not divide ``num``."""
+    q, r = divmod(num, den)
+    if r:
+        raise ExactnessError(f"{what} is not an exact integer: {Fraction(num, den)}")
+    return q
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,8 @@ class CharacterTable:
                 raise ValueError("column count does not match column labels")
         if len(self.col_class_orders) != len(self.col_labels):
             raise ValueError("class order count does not match column labels")
+        if any(o <= 0 for o in self.col_class_orders):
+            raise ValueError("class orders must be positive")
         if sum(self.col_class_orders) != self.group_order:
             raise ValueError("class orders do not sum to the group order")
 
@@ -64,39 +69,15 @@ class CharacterTable:
     def row(self, i):
         return self.entries[i]
 
-    def weights(self) -> "WeightVector":
-        return WeightVector.from_class_orders(self.col_class_orders, self.group_order)
+    def class_sum(self, u, v):
+        """sum_c |c| u_c v_c: the weighted inner product times the group
+        order, an exact integer."""
+        return sum(o * a * b for o, a, b in zip(self.col_class_orders, u, v))
 
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Per-class weights class_order / group_order; positive, summing to 1."""
-
-    weights: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
-        if sum(self.weights) != 1:
-            raise ValueError("weights must sum to 1")
-
-    @classmethod
-    def from_class_orders(cls, orders, group_order):
-        return cls(tuple(Fraction(o, group_order) for o in orders))
-
-    def __len__(self):
-        return len(self.weights)
-
-    def __iter__(self):
-        return iter(self.weights)
-
-    def inner(self, u, v):
-        """Weighted inner product sum_c w_c u_c v_c, exact."""
-        num = 0
-        for w, a, b in zip(self.weights, u, v):
-            num += w * a * b
-        return num if isinstance(num, Fraction) else Fraction(num)
+    def inner(self, u, v, what="inner product"):
+        """Weighted inner product sum_c (|c| / |G|) u_c v_c, which must be
+        an integer."""
+        return exact_div(self.class_sum(u, v), self.group_order, what)
 
 
 @dataclass(frozen=True)
@@ -123,19 +104,17 @@ class TransitionMatrix:
         return len(self.labels)
 
 
-def weighted_gram_schmidt(table: CharacterTable, weights: WeightVector):
-    """Orthonormalize the rows of ``table`` under ``weights``, exactly.
+def weighted_gram_schmidt(table: CharacterTable):
+    """Orthonormalize the rows of ``table`` under its class weights, exactly.
 
     Returns ``(orthonormal, transition)`` where ``transition`` is lower
     unitriangular and ``table = transition @ orthonormal`` entrywise.  No
     normalization step is performed: for induced-character input each
     residue is a single irreducible character and lands on norm 1 by
-    itself, which is asserted.  A residue with non-unit norm, a
-    non-integral entry, or a non-integral projection coefficient raises
-    :class:`ExactnessError` (rank deficiency shows up as norm 0).
+    itself, which is checked.  A residue with non-unit norm or a
+    non-integral projection coefficient raises :class:`ExactnessError`
+    (rank deficiency shows up as norm 0).
     """
-    if table.ncols != len(weights):
-        raise ValueError("weight vector does not match table columns")
     if table.nrows != table.ncols:
         raise ValueError("weighted orthonormalization needs a square table")
     done: list[tuple[int, ...]] = []
@@ -144,19 +123,19 @@ def weighted_gram_schmidt(table: CharacterTable, weights: WeightVector):
     for i in range(n):
         row = table.row(i)
         coeffs = [
-            _as_int(weights.inner(row, x), f"projection coefficient ({i},{k})")
+            table.inner(row, x, f"projection coefficient ({i},{k})")
             for k, x in enumerate(done)
         ]
         resid = list(row)
         for c, x in zip(coeffs, done):
             resid = [r - c * v for r, v in zip(resid, x)]
-        norm = weights.inner(resid, resid)
-        if norm != 1:
+        norm = table.class_sum(resid, resid)
+        if norm != table.group_order:
             raise ExactnessError(
-                f"row {i} residue has squared norm {norm}, expected 1"
+                f"row {i} residue has squared norm "
+                f"{Fraction(norm, table.group_order)}, expected 1"
             )
-        resid = tuple(_as_int(v, f"entry in row {i}") for v in resid)
-        done.append(resid)
+        done.append(tuple(resid))
         trans.append(tuple(coeffs) + (1,) + (0,) * (n - i - 1))
     ortho = CharacterTable(
         row_labels=table.row_labels,
@@ -170,13 +149,12 @@ def weighted_gram_schmidt(table: CharacterTable, weights: WeightVector):
 
 def first_orthogonality_failure(table: CharacterTable):
     """First (i, j, value) where weighted row orthonormality fails, or None."""
-    w = table.weights()
     for i in range(table.nrows):
         for j in range(i, table.nrows):
-            got = w.inner(table.row(i), table.row(j))
-            expected = 1 if i == j else 0
+            got = table.class_sum(table.row(i), table.row(j))
+            expected = table.group_order if i == j else 0
             if got != expected:
-                return (i, j, got)
+                return (i, j, Fraction(got, table.group_order))
     return None
 
 
@@ -190,8 +168,7 @@ def first_column_orthogonality_failure(table: CharacterTable):
         for d in range(c, table.ncols):
             got = sum(row[c] * row[d] for row in table.entries)
             if c == d:
-                expected = Fraction(table.group_order, table.col_class_orders[c])
-                if got != expected:
+                if got * table.col_class_orders[c] != table.group_order:
                     return (c, d, got)
             elif got != 0:
                 return (c, d, got)
@@ -211,27 +188,45 @@ def transpose(a):
 
 
 def exact_solve(a, b):
-    """Solve A X = B over the rationals; A square and invertible.
+    """Solve A X = B for an integer matrix X; A square and invertible,
+    A and B integer.
 
-    Raises :class:`ExactnessError` when A is singular.
+    Fraction-free Bareiss elimination brings [A | B] to upper-triangular
+    form, every division in it being exact (Bareiss 1968); back-substitution
+    then divides with a check.  Returns X as a tuple of integer rows.
+    Raises :class:`ExactnessError` when A is singular or when the unique
+    solution X is not integral.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("A must be square")
     m = len(b[0]) if b else 0
-    aug = [
-        [Fraction(x) for x in arow] + [Fraction(x) for x in brow]
-        for arow, brow in zip(a, b)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+    rows = [list(arow) + list(brow) for arow, brow in zip(a, b)]
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if rows[r][k] != 0), None)
         if pivot is None:
             raise ExactnessError("singular matrix in exact solve")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * u for v, u in zip(aug[r], aug[col])]
-    return tuple(tuple(aug[r][n:]) for r in range(n)) if m else tuple(() for _ in range(n))
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        d = top[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            f = row[k]
+            # columns up to k of the rows below the pivot are never read again
+            row[k + 1:] = [
+                (d * x - f * y) // prev for x, y in zip(row[k + 1:], top[k + 1:])
+            ]
+        prev = d
+    x = [()] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        x[i] = tuple(
+            exact_div(
+                row[n + c] - sum(row[j] * x[j][c] for j in range(i + 1, n)),
+                row[i],
+                f"solution entry ({i},{c})",
+            )
+            for c in range(m)
+        )
+    return tuple(x)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from hobchar import reduction
 from hobchar.cli import run
+from hobchar.tables import ExactnessError
 from hobchar.serialize import from_json, parse_csv
 
 from test_symmetric import S4_X
@@ -27,6 +29,16 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "table", "--group", "sym", "--n", "99", "--kind", "induced")
         assert code == 2
         assert "error:" in err
+
+    def test_arithmetic_fault_exits_cleanly(self, capsys, monkeypatch):
+        def broken(n):
+            raise ExactnessError("restriction multiplicity is not an exact integer: 1/2")
+
+        monkeypatch.setattr(reduction, "reduce_irreducible", broken)
+        code, out, err = invoke(capsys, "branch", "--n", "2", "--kind", "irreducible")
+        assert code == 2
+        assert out == ""
+        assert err == "error: restriction multiplicity is not an exact integer: 1/2\n"
 
     def test_modified_needs_even_degree(self, capsys):
         code, _, err = invoke(

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from hobchar import embedding
 from hobchar.combinatorics import even_partition_count, partitions
 from hobchar.embedding import (
     fuse_class,
@@ -15,7 +16,7 @@ from hobchar.embedding import (
 from hobchar.hyperoct import AlphaSystem, group_order, hob_classes
 from hobchar.oracle import ambient_cycle_type, enumerate_group
 from hobchar.symmetric import sym_classes, sym_induced_table, sym_irreducible_table
-from hobchar.tables import mat_mul
+from hobchar.tables import ExactnessError, mat_mul
 
 # Frozen reference data for the rank-2 embedding in the degree-4 group.
 B2_XMOD = (
@@ -87,6 +88,12 @@ class TestIntersectionOrders:
     def test_total_is_group_order(self, n):
         assert sum(intersection_orders(n)) == group_order(n)
 
+    def test_missing_class_raises_exactness_error(self, monkeypatch):
+        real = embedding.hob_classes
+        monkeypatch.setattr(embedding, "hob_classes", lambda n: real(n)[1:])
+        with pytest.raises(ExactnessError, match="not the group order 8"):
+            fusion_map(2)
+
     def test_fusion_map_directions(self):
         fm = fusion_map(2)
         assert [ct.label for ct in fm.images] == ["1,1,1,1", "2,1,1", "2,2", "2,2", "4"]
@@ -121,6 +128,13 @@ class TestIntersectionOrders:
 
 
 class TestPermutationCharacter:
+    def test_non_integral_value_raises_exactness_error(self, monkeypatch):
+        # one element in every class of S_4: index 3 is not a multiple of
+        # the class order 6 of the transpositions
+        monkeypatch.setattr(embedding, "intersection_orders", lambda n: (1,) * 5)
+        with pytest.raises(ExactnessError, match="coset character value"):
+            permutation_character_F(2)
+
     def test_rank2(self):
         assert permutation_character_F(2) == (3, 1, 3, 0, 1)
 

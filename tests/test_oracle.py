@@ -124,12 +124,30 @@ class TestClassData:
             assert c.size == formula[c.alpha.label]
             assert fuse_class(c.alpha, 4).label == c.ambient.label
 
+    def test_class_size_mismatch_raises_exactness_error(self, monkeypatch):
+        # a repeated element is absorbed by its class, so the class sizes
+        # fall one short of the enumeration
+        full = enumerate_group(2)
+        monkeypatch.setattr(oracle, "enumerate_group", lambda n: full + full[:1])
+        oracle_class_data.cache_clear()
+        try:
+            with pytest.raises(ExactnessError, match="class sizes sum to 8, not 9"):
+                oracle_class_data(2)
+        finally:
+            oracle_class_data.cache_clear()
+
 
 class TestInducedCharacters:
     def test_subgroup_orders(self):
         for n in (2, 3):
             for label, order in hob_subgroups(n):
                 assert len(subgroup_elements(n, label)) == order
+
+    def test_subgroup_order_mismatch_raises_exactness_error(self, monkeypatch):
+        real = oracle._block_elements
+        monkeypatch.setattr(oracle, "_block_elements", lambda coords, flag: real(coords, flag)[1:])
+        with pytest.raises(ExactnessError, match="7 elements, expected 8"):
+            subgroup_elements(2, sub((2,), (0,)))
 
     def test_whole_group_row(self):
         values = oracle_induced_char(2, sub((2,), (0,)))

@@ -1,0 +1,24 @@
+"""Static checks over the package sources."""
+
+import ast
+from pathlib import Path
+
+import hobchar
+
+SOURCES = sorted(Path(hobchar.__file__).parent.rglob("*.py"))
+
+
+def test_sources_found():
+    assert any(path.name == "tables.py" for path in SOURCES)
+
+
+def test_invariants_raise_typed_errors_not_assert():
+    # ``python -O`` strips assert statements, so an invariant written as one
+    # silently stops being checked; raise ExactnessError or ValueError instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -12,7 +12,6 @@ from hobchar.symmetric import (
     sym_induced_char,
     sym_induced_table,
     sym_irreducible_table,
-    sym_weights,
 )
 from hobchar.tables import (
     first_column_orthogonality_failure,
@@ -202,4 +201,5 @@ class TestIrreducibleTable:
             assert first_orthogonality_failure(x) is None
 
     def test_weights_sum_to_one(self):
-        assert sum(sym_weights(5).weights) == 1
+        t = sym_induced_table(5)
+        assert sum(t.col_class_orders) == t.group_order
