@@ -67,7 +67,14 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Drop all memoized tables (useful before timing runs)."""
-    from hobchar import combinatorics, hyperoct as _h, oracle as _o, symmetric as _s
+    from hobchar import (
+        chains as _c,
+        combinatorics,
+        hyperoct as _h,
+        oracle as _o,
+        reduction as _r,
+        symmetric as _s,
+    )
 
     for fn in (
         combinatorics.partitions,
@@ -78,7 +85,11 @@ def clear_caches() -> None:
         _h.hob_classes,
         _h.hob_induced_table,
         _h.hob_irreducible_table,
+        _r.reduce_irreducible,
+        _r.reduce_induced,
+        _c.hob_restriction_matrix,
         _o.enumerate_group,
         _o.oracle_class_data,
+        _o._conjugate_counts,
     ):
         fn.cache_clear()

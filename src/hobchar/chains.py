@@ -11,6 +11,8 @@ branching matrix of :func:`hobchar.reduction.reduce_irreducible`.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from hobchar.combinatorics import Partition, partitions
 from hobchar.hyperoct import AlphaSystem, hob_classes, hob_irreducible_table
 from hobchar.reduction import BranchingMatrix, _checked_branching, reduce_irreducible
@@ -41,6 +43,7 @@ def weyl_matrix(n: int) -> BranchingMatrix:
     return BranchingMatrix(rows, cols, tuple(entries))
 
 
+@lru_cache(maxsize=None)
 def hob_restriction_matrix(n: int) -> BranchingMatrix:
     """Restriction multiplicities from rank n to rank n-1.
 

@@ -5,13 +5,17 @@ conjugacy classes come from conjugating by every group element, induced
 characters from counting fixed cosets, and restriction multiplicities from
 summing over all elements.  It deliberately shares no machinery with the
 formula-based modules beyond the label types, and it must stay dumb: its
-value is being obviously correct, not fast.  Rank is capped at 5
+value is being obviously correct, not fast.  It is still brute force over
+every element; it only avoids repeating work: each conjugate is built once,
+in one pass, and the conjugates of a class representative are counted once
+per rank and shared by every subgroup.  Rank is capped at 5
 (2**5 * 5! = 3840 elements).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,6 +64,27 @@ class SignedPermutation:
             inv[v - 1] = i + 1
         signs = tuple(self.signs[self.perm[j] - 1] for j in range(n))
         return SignedPermutation(tuple(inv), signs)
+
+    def conjugate(self, x: "SignedPermutation") -> "SignedPermutation":
+        """x * self * x.inverse(), in one pass over the points.
+
+        As a signed map g sends i to f(p(i)) p(i); with c = x g x^-1,
+        c(x(i)) = x(g(i)) gives c(p_x(i)) = s * p_x(p_g(i)), where s is the
+        product of the signs x puts on p_x(i) and p_x(p_g(i)) and the sign g
+        puts on p_g(i).
+        """
+        n = len(self.perm)
+        if len(x.perm) != n:
+            raise ValueError("rank mismatch")
+        perm = [0] * n
+        signs = [0] * n
+        for i in range(n):
+            j = self.perm[i]
+            a = x.perm[i]
+            b = x.perm[j - 1]
+            perm[a - 1] = b
+            signs[b - 1] = x.signs[a - 1] * self.signs[j - 1] * x.signs[b - 1]
+        return SignedPermutation(tuple(perm), tuple(signs))
 
     def key(self):
         return (self.perm, self.signs)
@@ -176,13 +201,16 @@ def oracle_class_data(n: int) -> tuple[OracleClass, ...]:
     for g in elements:
         if g.key() in assigned:
             continue
-        members = {(x * g * x.inverse()).key() for x in elements}
-        assigned |= members
-        rep = SignedPermutation(*min(members))
-        alphas = {SignedPermutation(*k).alpha_system().label for k in members}
-        ambients = {ambient_cycle_type(SignedPermutation(*k), n).label for k in members}
+        members = {c.key(): c for c in (g.conjugate(x) for x in elements)}
+        assigned.update(members)
+        rep = members[min(members)]
+        alphas = {c.alpha_system().label for c in members.values()}
+        ambients = {ambient_cycle_type(c, n).label for c in members.values()}
         if len(alphas) != 1 or len(ambients) != 1:
-            raise AssertionError("class invariants not constant on a conjugacy class")
+            raise ExactnessError(
+                f"class of {rep.key()!r}: cycle-sign census {sorted(alphas)} and "
+                f"ambient cycle type {sorted(ambients)} not constant on the class"
+            )
         out.append(
             OracleClass(
                 alpha=rep.alpha_system(),
@@ -240,17 +268,31 @@ def subgroup_elements(n: int, label: SignedSubgroupLabel) -> tuple[SignedPermuta
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _conjugate_counts(n: int) -> tuple[Counter, ...]:
+    """Per class of :func:`oracle_class_data`, the conjugates x * g * x^-1
+    of its representative g over every x in the group, as a multiset:
+    conjugate key -> number of x giving it."""
+    elements = enumerate_group(n)
+    return tuple(
+        Counter(cls.representative.conjugate(x).key() for x in elements)
+        for cls in oracle_class_data(n)
+    )
+
+
 def oracle_induced_char(n: int, label: SignedSubgroupLabel) -> tuple[int, ...]:
     """Fixed-coset counts of the class representatives, aligned with
-    :func:`oracle_class_data`."""
+    :func:`oracle_class_data`.
+
+    The coset xH is fixed by g when x^-1 g x lies in H; as x runs over the
+    group so does x^-1, so the count of such x is the number of conjugates
+    x g x^-1, with multiplicity, that lie in H."""
     _check_rank(n, cap=4)
-    elements = enumerate_group(n)
     members = {g.key() for g in subgroup_elements(n, label)}
     order = len(members)
     values = []
-    for cls in oracle_class_data(n):
-        g = cls.representative
-        hits = sum(1 for x in elements if (x.inverse() * g * x).key() in members)
+    for cls, conjugates in zip(oracle_class_data(n), _conjugate_counts(n)):
+        hits = sum(conjugates[key] for key in members)
         value, r = divmod(hits, order)
         if r:
             raise ExactnessError(

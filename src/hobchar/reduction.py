@@ -6,6 +6,7 @@ branching matrix, and the consistency identity tying them together.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from hobchar.embedding import modified_tables
 from hobchar.hyperoct import hob_induced_table, hob_irreducible_table
@@ -54,6 +55,7 @@ def _checked_branching(row_labels, col_labels, entries, what):
     return BranchingMatrix(row_labels, col_labels, entries)
 
 
+@lru_cache(maxsize=None)
 def reduce_irreducible(n: int) -> BranchingMatrix:
     """Multiplicities of the subgroup irreducibles in each restricted
     S_2N irreducible, computed as weighted inner products of the
@@ -68,6 +70,7 @@ def reduce_irreducible(n: int) -> BranchingMatrix:
     return _checked_branching(x_mod.row_labels, y.row_labels, raw, what)
 
 
+@lru_cache(maxsize=None)
 def reduce_induced(n: int) -> BranchingMatrix:
     """The induced-content matrix: the unique exact solution R of
     R @ induced_table = re-columned ambient induced table.

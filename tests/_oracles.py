@@ -229,3 +229,43 @@ def cycle_type_of(perm):
             a = perm[a] - 1
         lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
+
+
+def class_data_by_closure(n):
+    """The oracle's classes as (size, representative key, cycle-sign label,
+    ambient label), by the three-product conjugation closure x * g * x^-1
+    over every element, in order of first occurrence."""
+    from hobchar.oracle import SignedPermutation, ambient_cycle_type, enumerate_group
+
+    elements = enumerate_group(n)
+    assigned = set()
+    out = []
+    for g in elements:
+        if g.key() in assigned:
+            continue
+        members = {(x * g * x.inverse()).key() for x in elements}
+        assigned |= members
+        rep = SignedPermutation(*min(members))
+        out.append(
+            (len(members), rep.key(), rep.alpha_system().label, ambient_cycle_type(rep, n).label)
+        )
+    return out
+
+
+def induced_char_by_conjugation(n, label):
+    """Fixed-coset counts of the oracle's class representatives: for each
+    representative g, the number of x with x^-1 * g * x in the subgroup,
+    divided by the subgroup order."""
+    from hobchar.oracle import enumerate_group, oracle_class_data, subgroup_elements
+
+    elements = enumerate_group(n)
+    members = {h.key() for h in subgroup_elements(n, label)}
+    values = []
+    for cls in oracle_class_data(n):
+        g = cls.representative
+        hits = sum(1 for x in elements if (x.inverse() * g * x).key() in members)
+        value, r = divmod(hits, len(members))
+        if r:
+            raise ArithmeticError(f"{hits} hits not divisible by {len(members)}")
+        values.append(value)
+    return tuple(values)

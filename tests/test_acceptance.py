@@ -132,11 +132,10 @@ def test_criterion_6_oracle_equivalence(n):
         assert report.passed, report.line()
 
 
-@pytest.mark.slow
 def test_criterion_6_oracle_equivalence_rank4():
     from hobchar.oracle import oracle_agreement
 
-    with criterion("6 brute-force equivalence rank 4 (slow)"):
+    with criterion("6 brute-force equivalence rank 4"):
         report = oracle_agreement(4)
         assert report.passed, report.line()
 

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from hobchar import reduction
+from hobchar import oracle, reduction
 from hobchar.cli import run
+from hobchar.symmetric import CycleType
 from hobchar.tables import ExactnessError
 from hobchar.serialize import from_json, parse_csv
 
@@ -39,6 +40,24 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == "error: restriction multiplicity is not an exact integer: 1/2\n"
+
+    def test_oracle_invariant_fault_exits_cleanly(self, capsys, monkeypatch):
+        # an ambient cycle type that varies within a class is an arithmetic
+        # fault of the oracle, reported like any other
+        real = oracle.ambient_cycle_type
+
+        def uneven(g, n):
+            return CycleType((0, 0, 0, 1)) if g.signs[0] == -1 else real(g, n)
+
+        monkeypatch.setattr(oracle, "ambient_cycle_type", uneven)
+        oracle.oracle_class_data.cache_clear()
+        try:
+            code, out, err = invoke(capsys, "verify", "--check", "oracle", "--n", "2")
+        finally:
+            oracle.oracle_class_data.cache_clear()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: class of ") and "not constant on the class" in err
 
     def test_modified_needs_even_degree(self, capsys):
         code, _, err = invoke(

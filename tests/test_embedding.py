@@ -116,7 +116,6 @@ class TestIntersectionOrders:
         missing = next(c for c in payload["ambient_classes"] if c["class"] == "3,1")
         assert missing["fiber"] == [] and missing["intersection_order"] == 0
 
-    @pytest.mark.slow
     def test_fusion_matches_explicit_action_rank4(self):
         expected = {}
         for g in enumerate_group(4):

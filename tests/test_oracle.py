@@ -13,6 +13,7 @@ from hobchar.hyperoct import (
 from hobchar.embedding import fuse_class
 from hobchar.oracle import (
     SignedPermutation,
+    _conjugate_counts,
     ambient_cycle_type,
     enumerate_group,
     oracle_agreement,
@@ -24,7 +25,10 @@ from hobchar.oracle import (
 )
 from hobchar import oracle
 from hobchar.reduction import reduce_irreducible
+from hobchar.symmetric import CycleType
 from hobchar.tables import ExactnessError
+
+from _oracles import class_data_by_closure, induced_char_by_conjugation
 
 
 def sub(parts, flags):
@@ -50,6 +54,25 @@ class TestSignedPermutation:
             assert (g.inverse() * g).key() == e.key()
 
     @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_conjugate_is_the_triple_product(self, n):
+        elements = enumerate_group(n)
+        for g in elements:
+            for x in elements:
+                assert g.conjugate(x) == x * g * x.inverse()
+
+    @pytest.mark.parametrize("n", (4, 5))
+    def test_conjugate_is_the_triple_product_sampled(self, n):
+        rng = random.Random(20261018)
+        elements = enumerate_group(n)
+        for _ in range(500):
+            g, x = rng.choice(elements), rng.choice(elements)
+            assert g.conjugate(x) == x * g * x.inverse()
+
+    def test_conjugate_rejects_rank_mismatch(self):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            SignedPermutation.identity(2).conjugate(SignedPermutation.identity(3))
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
     def test_ambient_map_is_homomorphism(self, n):
         elements = enumerate_group(n)
         for a in elements:
@@ -60,8 +83,7 @@ class TestSignedPermutation:
                 )
                 assert left == composed
 
-    @pytest.mark.slow
-    @pytest.mark.parametrize("n", (4, 5))
+    @pytest.mark.parametrize("n", (4, pytest.param(5, marks=pytest.mark.slow)))
     def test_ambient_map_is_homomorphism_sampled(self, n):
         rng = random.Random(20260811)
         elements = enumerate_group(n)
@@ -115,7 +137,6 @@ class TestClassData:
             }
             assert g.key() == min(members)
 
-    @pytest.mark.slow
     def test_matches_formula_classes_rank4(self):
         data = oracle_class_data(4)
         formula = dict((a.label, o) for a, o in hob_classes(4))
@@ -123,6 +144,30 @@ class TestClassData:
         for c in data:
             assert c.size == formula[c.alpha.label]
             assert fuse_class(c.alpha, 4).label == c.ambient.label
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    def test_matches_conjugation_closure(self, n):
+        got = [
+            (c.size, c.representative.key(), c.alpha.label, c.ambient.label)
+            for c in oracle_class_data(n)
+        ]
+        assert got == class_data_by_closure(n)
+
+    def test_varying_ambient_type_raises_exactness_error(self, monkeypatch):
+        # the two single flips (-1, 1) and (1, -1) form one rank-2 class;
+        # give only the first an ambient 4-cycle
+        real = oracle.ambient_cycle_type
+
+        def uneven(g, n):
+            return CycleType((0, 0, 0, 1)) if g.signs[0] == -1 else real(g, n)
+
+        monkeypatch.setattr(oracle, "ambient_cycle_type", uneven)
+        oracle_class_data.cache_clear()
+        try:
+            with pytest.raises(ExactnessError, match="not constant on the class"):
+                oracle_class_data(2)
+        finally:
+            oracle_class_data.cache_clear()
 
     def test_class_size_mismatch_raises_exactness_error(self, monkeypatch):
         # a repeated element is absorbed by its class, so the class sizes
@@ -172,6 +217,20 @@ class TestInducedCharacters:
             for cls, value in zip(oracle_class_data(n), values):
                 assert value == table.entries[i][col_of[cls.alpha.label]]
 
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    def test_matches_per_label_conjugation(self, n):
+        for label, _ in hob_subgroups(n):
+            assert oracle_induced_char(n, label) == induced_char_by_conjugation(n, label)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    def test_conjugate_counts_cover_the_group_once_per_class(self, n):
+        # each class's multiset has |G| conjugates spread evenly over the
+        # class: |G| / |class| for every member
+        order = group_order(n)
+        for cls, counts in zip(oracle_class_data(n), _conjugate_counts(n)):
+            assert len(counts) == cls.size
+            assert set(counts.values()) == {order // cls.size}
+
     def test_non_subgroup_raises_exactness_error(self, monkeypatch):
         # five of the eight rank-2 elements, identity included: the identity
         # class then has 8 hits, which 5 does not divide
@@ -186,7 +245,6 @@ class TestRestriction:
     def test_matches_formula(self, n):
         assert oracle_restriction(n).entries == reduce_irreducible(n).entries
 
-    @pytest.mark.slow
     def test_matches_formula_rank4(self):
         assert oracle_restriction(4).entries == reduce_irreducible(4).entries
 
@@ -203,7 +261,6 @@ class TestAgreement:
         report = oracle_agreement(n)
         assert report.passed, report.line()
 
-    @pytest.mark.slow
     def test_agreement_rank4(self):
         report = oracle_agreement(4)
         assert report.passed, report.line()

@@ -22,3 +22,20 @@ def test_invariants_raise_typed_errors_not_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _raises_assertion_error(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_invariants_do_not_raise_assertion_error():
+    # a bare AssertionError is no ArithmeticError, so ``cli.run`` would end
+    # in a traceback instead of exit code 2; raise ExactnessError instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Raise) and node.exc is not None and _raises_assertion_error(node)
+    ]
+    assert found == []
