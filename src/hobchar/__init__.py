@@ -90,6 +90,5 @@ def clear_caches() -> None:
         _c.hob_restriction_matrix,
         _o.enumerate_group,
         _o.oracle_class_data,
-        _o._conjugate_counts,
     ):
         fn.cache_clear()

@@ -25,12 +25,11 @@ from hobchar.serialize import (
     CACHE_ENV_VAR,
     CacheWarning,
     TableCache,
-    document_from_branching,
-    document_from_character_table,
-    document_from_transition,
+    document_from,
     render,
 )
 from hobchar.tables import (
+    CharacterTable,
     first_column_orthogonality_failure,
     first_orthogonality_failure,
 )
@@ -121,10 +120,6 @@ def _cache_from(args) -> TableCache | None:
     return TableCache(root) if root else None
 
 
-def _emit(args, text):
-    sys.stdout.write(text)
-
-
 def cmd_classes(args) -> int:
     if args.group == "sym":
         _check_cap(args.n, SYM_DEFAULT_CAP, "n", args.allow_slow)
@@ -139,50 +134,42 @@ def cmd_classes(args) -> int:
             "n": args.n,
             "classes": [{"label": l, "order": o} for l, o in data],
         }
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     elif args.format == "csv":
         lines = ["label,order"] + [f'"{l}",{o}' for l, o in data]
-        _emit(args, "\n".join(lines) + "\n")
+        sys.stdout.write("\n".join(lines) + "\n")
     elif args.format == "latex":
         lines = [r"\begin{tabular}{r|r}", r"class & order \\", r"\hline"]
         lines += [f"{l} & {o} \\\\" for l, o in data]
         lines.append(r"\end{tabular}")
-        _emit(args, "\n".join(lines) + "\n")
+        sys.stdout.write("\n".join(lines) + "\n")
     else:
         width = max(len(l) for l, _ in data)
         lines = [f"{l.rjust(width)}  {o}" for l, o in data]
-        _emit(args, "\n".join(lines) + "\n")
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
 def _compute_table_document(group, n, kind):
-    if group == "sym":
-        if kind == "induced":
-            return document_from_character_table(
-                symmetric.sym_induced_table(n), group, n, kind
-            )
-        if kind == "irreducible":
-            return document_from_character_table(
-                symmetric.sym_irreducible_table(n)[0], group, n, kind
-            )
-        if kind == "transition":
-            return document_from_transition(symmetric.sym_irreducible_table(n)[1], group, n)
+    if kind.startswith("modified-"):
+        if group != "sym":
+            raise ValueError(f"{kind!r} applies only to --group sym")
         if n % 2:
             raise ValueError(f"{kind} tables need an even symmetric-group degree")
         ind_mod, irr_mod = embedding.modified_tables(n // 2)
         table = ind_mod if kind == "modified-induced" else irr_mod
-        return document_from_character_table(table, group, n, kind)
-    if kind == "induced":
-        return document_from_character_table(
-            hyperoct.hob_induced_table(n), group, n, kind
-        )
-    if kind == "irreducible":
-        return document_from_character_table(
-            hyperoct.hob_irreducible_table(n)[0], group, n, kind
-        )
-    if kind == "transition":
-        return document_from_transition(hyperoct.hob_irreducible_table(n)[1], group, n)
-    raise ValueError(f"{kind!r} applies only to --group sym")
+    elif kind == "induced":
+        if group == "sym":
+            table = symmetric.sym_induced_table(n)
+        else:
+            table = hyperoct.hob_induced_table(n)
+    else:
+        if group == "sym":
+            irreducible, transition = symmetric.sym_irreducible_table(n)
+        else:
+            irreducible, transition = hyperoct.hob_irreducible_table(n)
+        table = transition if kind == "transition" else irreducible
+    return document_from(table, group, n, kind)
 
 
 def cmd_table(args) -> int:
@@ -194,7 +181,7 @@ def cmd_table(args) -> int:
         doc = _compute_table_document(args.group, args.n, args.kind)
         if cache:
             cache.store(doc)
-    _emit(args, render(doc, args.format))
+    sys.stdout.write(render(doc, args.format))
     return 0
 
 
@@ -204,7 +191,8 @@ def cmd_branch(args) -> int:
         matrix = reduction.reduce_irreducible(args.n)
     else:
         matrix = reduction.reduce_induced(args.n)
-    _emit(args, render(document_from_branching(matrix, args.n), args.format))
+    doc = document_from(matrix, "sym", 2 * args.n, "branching")
+    sys.stdout.write(render(doc, args.format))
     return 0
 
 
@@ -213,22 +201,19 @@ def cmd_fchar(args) -> int:
     cache = _cache_from(args)
     doc = cache.lookup("sym", 2 * args.n, "fchar") if cache else None
     if doc is None:
-        values = embedding.permutation_character_F(args.n)
         classes = symmetric.sym_classes(2 * args.n)
-        from hobchar.serialize import TableDocument
-
-        doc = TableDocument(
-            group="sym",
-            n=2 * args.n,
-            kind="fchar",
+        orders = tuple(order for _, order in classes)
+        fchar = CharacterTable(
             row_labels=("F",),
-            col_labels=tuple(ct.label for ct, _ in classes),
-            col_class_orders=tuple(order for _, order in classes),
-            entries=(values,),
+            col_labels=tuple(ct for ct, _ in classes),
+            col_class_orders=orders,
+            entries=(embedding.permutation_character_F(args.n),),
+            group_order=sum(orders),
         )
+        doc = document_from(fchar, "sym", 2 * args.n, "fchar")
         if cache:
             cache.store(doc)
-    _emit(args, render(doc, args.format))
+    sys.stdout.write(render(doc, args.format))
     return 0
 
 
@@ -297,21 +282,21 @@ def cmd_verify(args) -> int:
 
     if args.format == "json":
         payload = {"schema_version": 1, "reports": [r.to_dict() for r in reports]}
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     elif args.format == "csv":
         lines = ["check,n,pass"] + [
             f"{r.check},{r.n},{str(r.passed).lower()}" for r in reports
         ]
-        _emit(args, "\n".join(lines) + "\n")
+        sys.stdout.write("\n".join(lines) + "\n")
     elif args.format == "latex":
         lines = [r"\begin{tabular}{rrl}", r"check & n & result \\", r"\hline"]
         lines += [
             f"{r.check} & {r.n} & {'pass' if r.passed else 'FAIL'} \\\\" for r in reports
         ]
         lines.append(r"\end{tabular}")
-        _emit(args, "\n".join(lines) + "\n")
+        sys.stdout.write("\n".join(lines) + "\n")
     else:
-        _emit(args, "\n".join(r.line() for r in reports) + "\n")
+        sys.stdout.write("\n".join(r.line() for r in reports) + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
 

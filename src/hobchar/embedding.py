@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from hobchar.hyperoct import AlphaSystem, group_order, hob_classes
-from hobchar.symmetric import CycleType, sym_classes, sym_irreducible_table
+from hobchar.symmetric import CycleType, sym_classes, sym_induced_table, sym_irreducible_table
 from hobchar.tables import CharacterTable, ExactnessError, exact_div
 
 
@@ -142,7 +142,5 @@ def modify_table(table: CharacterTable, n: int) -> CharacterTable:
 def modified_tables(n: int):
     """(induced', irreducible') over the subgroup's classes, sharing the
     ambient transition matrix."""
-    from hobchar.symmetric import sym_induced_table
-
     x, _ = sym_irreducible_table(2 * n)
     return modify_table(sym_induced_table(2 * n), n), modify_table(x, n)

@@ -7,22 +7,21 @@ summing over all elements.  It deliberately shares no machinery with the
 formula-based modules beyond the label types, and it must stay dumb: its
 value is being obviously correct, not fast.  It is still brute force over
 every element; it only avoids repeating work: each conjugate is built once,
-in one pass, and the conjugates of a class representative are counted once
-per rank and shared by every subgroup.  Rank is capped at 5
-(2**5 * 5! = 3840 elements).
+in one pass, and each class keeps the keys of the members its closure
+found, which every subgroup's fixed-coset count then reads.  Rank is
+capped at 5 (2**5 * 5! = 3840 elements).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from hobchar.hyperoct import AlphaSystem, SignedSubgroupLabel
 from hobchar.reduction import BranchingMatrix
 from hobchar.symmetric import CycleType
-from hobchar.tables import ExactnessError
+from hobchar.tables import ExactnessError, exact_div
 
 MAX_RANK = 5
 
@@ -183,6 +182,7 @@ class OracleClass:
     size: int
     representative: SignedPermutation
     ambient: CycleType
+    members: frozenset = field(repr=False)  # keys of every element of the class
 
 
 @lru_cache(maxsize=None)
@@ -190,7 +190,8 @@ def oracle_class_data(n: int) -> tuple[OracleClass, ...]:
     """Conjugacy classes by explicit conjugation closure.
 
     Classes are ordered by first occurrence in the element enumeration;
-    the representative is the lexicographically minimal element.  The
+    the representative is the lexicographically minimal element, and the
+    member keys are kept for the fixed-coset counts.  The
     cycle-sign census and the ambient cycle type are read off every
     element and must be constant on the class.
     """
@@ -217,6 +218,7 @@ def oracle_class_data(n: int) -> tuple[OracleClass, ...]:
                 size=len(members),
                 representative=rep,
                 ambient=ambient_cycle_type(rep, n),
+                members=frozenset(members),
             )
         )
     if sum(c.size for c in out) != len(elements):
@@ -268,31 +270,22 @@ def subgroup_elements(n: int, label: SignedSubgroupLabel) -> tuple[SignedPermuta
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _conjugate_counts(n: int) -> tuple[Counter, ...]:
-    """Per class of :func:`oracle_class_data`, the conjugates x * g * x^-1
-    of its representative g over every x in the group, as a multiset:
-    conjugate key -> number of x giving it."""
-    elements = enumerate_group(n)
-    return tuple(
-        Counter(cls.representative.conjugate(x).key() for x in elements)
-        for cls in oracle_class_data(n)
-    )
-
-
 def oracle_induced_char(n: int, label: SignedSubgroupLabel) -> tuple[int, ...]:
     """Fixed-coset counts of the class representatives, aligned with
     :func:`oracle_class_data`.
 
-    The coset xH is fixed by g when x^-1 g x lies in H; as x runs over the
-    group so does x^-1, so the count of such x is the number of conjugates
-    x g x^-1, with multiplicity, that lie in H."""
+    The coset xH is fixed by g when x^-1 g x lies in H.  As x runs over
+    the group, x^-1 g x takes each member of the class of g exactly
+    |G| / |class| times, so the count of such x is |G| / |class| times the
+    number of class members that lie in H."""
     _check_rank(n, cap=4)
-    members = {g.key() for g in subgroup_elements(n, label)}
-    order = len(members)
+    subgroup = {g.key() for g in subgroup_elements(n, label)}
+    order = len(subgroup)
+    group_order = len(enumerate_group(n))
     values = []
-    for cls, conjugates in zip(oracle_class_data(n), _conjugate_counts(n)):
-        hits = sum(conjugates[key] for key in members)
+    for cls in oracle_class_data(n):
+        centralizer = exact_div(group_order, cls.size, "centralizer order")
+        hits = centralizer * len(subgroup & cls.members)
         value, r = divmod(hits, order)
         if r:
             raise ExactnessError(

@@ -12,7 +12,7 @@ from hobchar.embedding import modified_tables
 from hobchar.hyperoct import hob_induced_table, hob_irreducible_table
 from hobchar.reports import CheckReport, compare_matrices
 from hobchar.symmetric import sym_irreducible_table
-from hobchar.tables import ExactnessError, exact_solve, mat_mul, transpose
+from hobchar.tables import ExactnessError, mat_mul, triangular_solve
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,13 @@ def reduce_induced(n: int) -> BranchingMatrix:
     """
     phi_mod, _ = modified_tables(n)
     table = hob_induced_table(n)
-    # R I = phi'  <=>  I^T R^T = phi'^T; I is invertible (unitriangular
-    # times an orthogonal-row table with positive weights).
-    solution = exact_solve(transpose(table.entries), transpose(phi_mod.entries))
-    return BranchingMatrix(phi_mod.row_labels, table.row_labels, transpose(solution))
+    # Ind_H^G 1 vanishes on every class that misses H.  Row H paired with
+    # the class of H.alpha_system() is therefore zero below that pivot, and
+    # R I = phi' is a substitution that checks this vanishing as it goes.
+    col_of = {alpha.label: c for c, alpha in enumerate(table.col_labels)}
+    pivots = [col_of[label.alpha_system().label] for label in table.row_labels]
+    solution = triangular_solve(table.entries, pivots, phi_mod.entries)
+    return BranchingMatrix(phi_mod.row_labels, table.row_labels, solution)
 
 
 def verify_consistency(n: int) -> CheckReport:

@@ -109,39 +109,18 @@ class TableDocument:
             raise ValueError(f"malformed document: {exc}") from exc
 
 
-def document_from_character_table(table, group, n, kind) -> TableDocument:
+def document_from(table, group, n, kind) -> TableDocument:
+    """The document of a character table, of a branching matrix (no class
+    orders) or of a transition matrix (one label set on both axes)."""
+    labels = getattr(table, "labels", None)
     return TableDocument(
         group=group,
         n=n,
         kind=kind,
-        row_labels=tuple(str(l) for l in table.row_labels),
-        col_labels=tuple(str(l) for l in table.col_labels),
-        col_class_orders=table.col_class_orders,
+        row_labels=table.row_labels if labels is None else labels,
+        col_labels=table.col_labels if labels is None else labels,
+        col_class_orders=getattr(table, "col_class_orders", None),
         entries=table.entries,
-    )
-
-
-def document_from_transition(trans, group, n) -> TableDocument:
-    return TableDocument(
-        group=group,
-        n=n,
-        kind="transition",
-        row_labels=tuple(str(l) for l in trans.labels),
-        col_labels=tuple(str(l) for l in trans.labels),
-        col_class_orders=None,
-        entries=trans.entries,
-    )
-
-
-def document_from_branching(matrix, n) -> TableDocument:
-    return TableDocument(
-        group="sym",
-        n=2 * n,
-        kind="branching",
-        row_labels=tuple(str(l) for l in matrix.row_labels),
-        col_labels=tuple(str(l) for l in matrix.col_labels),
-        col_class_orders=None,
-        entries=matrix.entries,
     )
 
 

@@ -187,46 +187,35 @@ def transpose(a):
     return tuple(zip(*a))
 
 
-def exact_solve(a, b):
-    """Solve A X = B for an integer matrix X; A square and invertible,
-    A and B integer.
+def triangular_solve(rows, pivots, rhs):
+    """Solve X A = B by substitution, where A is square and the column of
+    each row's pivot is zero below that row: A[k][pivots[k]] != 0 and
+    A[j][pivots[k]] == 0 for every j > k.
 
-    Fraction-free Bareiss elimination brings [A | B] to upper-triangular
-    form, every division in it being exact (Bareiss 1968); back-substitution
-    then divides with a check.  Returns X as a tuple of integer rows.
-    Raises :class:`ExactnessError` when A is singular or when the unique
-    solution X is not integral.
+    ``rows`` are the integer rows of A, ``pivots`` one distinct column per
+    row and ``rhs`` the integer rows of B.  Entry k of a row of X comes
+    from column ``pivots[k]`` with one checked exact division.  Both
+    structural conditions are checked, so a zero pivot or a non-zero entry
+    below a pivot raises :class:`ExactnessError`, as does a non-integral X.
     """
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("A must be square")
-    m = len(b[0]) if b else 0
-    rows = [list(arow) + list(brow) for arow, brow in zip(a, b)]
-    prev = 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if rows[r][k] != 0), None)
-        if pivot is None:
-            raise ExactnessError("singular matrix in exact solve")
-        rows[k], rows[pivot] = rows[pivot], rows[k]
-        top = rows[k]
-        d = top[k]
-        for i in range(k + 1, n):
-            row = rows[i]
-            f = row[k]
-            # columns up to k of the rows below the pivot are never read again
-            row[k + 1:] = [
-                (d * x - f * y) // prev for x, y in zip(row[k + 1:], top[k + 1:])
-            ]
-        prev = d
-    x = [()] * n
-    for i in reversed(range(n)):
-        row = rows[i]
-        x[i] = tuple(
-            exact_div(
-                row[n + c] - sum(row[j] * x[j][c] for j in range(i + 1, n)),
-                row[i],
-                f"solution entry ({i},{c})",
+    n = len(rows)
+    if any(len(row) != n for row in (*rows, *rhs)) or sorted(pivots) != list(range(n)):
+        raise ValueError("need a square system with one distinct pivot column per row")
+    above = []  # per pivot: the non-zero (row, entry) pairs above it
+    for k, c in enumerate(pivots):
+        if rows[k][c] == 0:
+            raise ExactnessError(f"zero pivot in row {k}, column {c}")
+        below = next((j for j in range(k + 1, n) if rows[j][c]), None)
+        if below is not None:
+            raise ExactnessError(
+                f"row {below} is non-zero below the pivot of row {k} in column {c}"
             )
-            for c in range(m)
-        )
-    return tuple(x)
+        above.append([(j, rows[j][c]) for j in range(k) if rows[j][c]])
+    out = []
+    for r, b in enumerate(rhs):
+        x = []
+        for k, c in enumerate(pivots):
+            rest = b[c] - sum(x[j] * v for j, v in above[k])
+            x.append(exact_div(rest, rows[k][c], f"solution entry ({r},{k})"))
+        out.append(tuple(x))
+    return tuple(out)

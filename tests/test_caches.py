@@ -19,7 +19,7 @@ def cached_functions():
 
 def test_clear_caches_empties_every_cache():
     functions = cached_functions()
-    assert any(name == "hobchar.oracle._conjugate_counts" for name, _ in functions)
+    assert any(name == "hobchar.oracle.oracle_class_data" for name, _ in functions)
     # populate every cache through the public entry points
     hobchar.method_b_verify(2)
     hobchar.verify_consistency(2)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,7 +14,6 @@ from hobchar.hyperoct import (
 from hobchar.embedding import fuse_class
 from hobchar.oracle import (
     SignedPermutation,
-    _conjugate_counts,
     ambient_cycle_type,
     enumerate_group,
     oracle_agreement,
@@ -224,12 +224,18 @@ class TestInducedCharacters:
 
     @pytest.mark.parametrize("n", (1, 2, 3, 4))
     def test_conjugate_counts_cover_the_group_once_per_class(self, n):
-        # each class's multiset has |G| conjugates spread evenly over the
-        # class: |G| / |class| for every member
-        order = group_order(n)
-        for cls, counts in zip(oracle_class_data(n), _conjugate_counts(n)):
-            assert len(counts) == cls.size
-            assert set(counts.values()) == {order // cls.size}
+        # the member sets partition the group, one set of cls.size keys per
+        # class, and conjugating a representative by every element gives
+        # each member |G| / |class| times: the count oracle_induced_char
+        # multiplies by
+        elements = enumerate_group(n)
+        data = oracle_class_data(n)
+        assert sorted(k for cls in data for k in cls.members) == sorted(g.key() for g in elements)
+        for cls in data:
+            assert len(cls.members) == cls.size
+            counts = Counter(cls.representative.conjugate(x).key() for x in elements)
+            assert set(counts) == cls.members
+            assert set(counts.values()) == {len(elements) // cls.size}
 
     def test_non_subgroup_raises_exactness_error(self, monkeypatch):
         # five of the eight rank-2 elements, identity included: the identity

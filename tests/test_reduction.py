@@ -1,8 +1,10 @@
+import dataclasses
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from hobchar import reduction
 from hobchar.embedding import modified_tables, permutation_character_F
 from hobchar.hyperoct import hob_induced_table, hob_irreducible_table
 from hobchar.reduction import (
@@ -12,7 +14,9 @@ from hobchar.reduction import (
     verify_consistency,
 )
 from hobchar.symmetric import sym_classes, sym_irreducible_table
-from hobchar.tables import mat_mul
+from hobchar.tables import ExactnessError, mat_mul, transpose
+
+from _oracles import fraction_solve
 
 # Frozen rank-2 branching matrices.
 B2_R1 = (
@@ -109,6 +113,14 @@ class TestInducedBranching:
         table = hob_induced_table(n)
         assert mat_mul(r2.entries, table.entries) == phi_mod.entries
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_fraction_solve(self, n):
+        # the Gauss-Jordan oracle on the transposed system I^T R^T = phi'^T
+        phi_mod, _ = modified_tables(n)
+        table = hob_induced_table(n)
+        expected = fraction_solve(transpose(table.entries), transpose(phi_mod.entries))
+        assert reduce_induced(n).entries == transpose(expected)
+
     def test_rank3_has_negative_coefficients(self):
         # The unique exact solution genuinely leaves the non-negative cone
         # from rank 3 on: restricted induced characters are permutation
@@ -118,6 +130,42 @@ class TestInducedBranching:
         col = [str(l) for l in r2.col_labels].index("1-,1-,1-")
         assert row["4,2"][col] == -1
         assert all(isinstance(v, int) for r in r2.entries for v in r)
+
+
+def broken_induced_table(n, row, pivot_row, value):
+    """The rank-n induced table with the entry of ``row`` in the pivot
+    column of ``pivot_row`` replaced by ``value``."""
+    table = hob_induced_table(n)
+    col = table.col_labels.index(table.row_labels[pivot_row].alpha_system())
+    entries = [list(r) for r in table.entries]
+    entries[row][col] = value
+    return dataclasses.replace(table, entries=entries)
+
+
+class TestInducedStructure:
+    """The substitution relies on Ind_H^G 1 vanishing on the classes that
+    miss H; a table that breaks this must raise, not give a wrong R2."""
+
+    @pytest.fixture
+    def patched(self, monkeypatch):
+        def patch(table):
+            monkeypatch.setattr(reduction, "hob_induced_table", lambda n: table)
+            reduce_induced.cache_clear()
+
+        yield patch
+        reduce_induced.cache_clear()
+
+    def test_entry_below_pivot_raises(self, patched):
+        # the trivial subgroup's row is non-zero only at the identity
+        last = len(hob_induced_table(3).row_labels) - 1
+        patched(broken_induced_table(3, last, 0, 1))
+        with pytest.raises(ExactnessError, match="below the pivot of row 0"):
+            reduce_induced(3)
+
+    def test_zero_pivot_raises(self, patched):
+        patched(broken_induced_table(3, 2, 2, 0))
+        with pytest.raises(ExactnessError, match="zero pivot in row 2"):
+            reduce_induced(3)
 
 
 class TestConsistency:

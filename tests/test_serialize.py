@@ -8,8 +8,7 @@ from hobchar.serialize import (
     CacheWarning,
     TableCache,
     TableDocument,
-    document_from_character_table,
-    document_from_transition,
+    document_from,
     from_json,
     parse_csv,
     render,
@@ -25,17 +24,17 @@ def sample_documents(max_rank=3):
     docs = []
     for n in range(1, max_rank + 1):
         docs.append(
-            document_from_character_table(sym_induced_table(2 * n), "sym", 2 * n, "induced")
+            document_from(sym_induced_table(2 * n), "sym", 2 * n, "induced")
         )
         x, delta = sym_irreducible_table(2 * n)
-        docs.append(document_from_character_table(x, "sym", 2 * n, "irreducible"))
-        docs.append(document_from_transition(delta, "sym", 2 * n))
+        docs.append(document_from(x, "sym", 2 * n, "irreducible"))
+        docs.append(document_from(delta, "sym", 2 * n, "transition"))
         docs.append(
-            document_from_character_table(hob_induced_table(n), "hyperoct", n, "induced")
+            document_from(hob_induced_table(n), "hyperoct", n, "induced")
         )
         y, t = hob_irreducible_table(n)
-        docs.append(document_from_character_table(y, "hyperoct", n, "irreducible"))
-        docs.append(document_from_transition(t, "hyperoct", n))
+        docs.append(document_from(y, "hyperoct", n, "irreducible"))
+        docs.append(document_from(t, "hyperoct", n, "transition"))
     return docs
 
 
@@ -92,16 +91,16 @@ class TestDocuments:
     def test_json_round_trip_rank5(self):
         for n in (5,):
             for doc in (
-                document_from_character_table(
+                document_from(
                     sym_induced_table(2 * n), "sym", 2 * n, "induced"
                 ),
-                document_from_character_table(
+                document_from(
                     sym_irreducible_table(2 * n)[0], "sym", 2 * n, "irreducible"
                 ),
-                document_from_character_table(
+                document_from(
                     hob_induced_table(n), "hyperoct", n, "induced"
                 ),
-                document_from_character_table(
+                document_from(
                     hob_irreducible_table(n)[0], "hyperoct", n, "irreducible"
                 ),
             ):
@@ -111,7 +110,7 @@ class TestDocuments:
 class TestCache:
     def test_round_trip(self, tmp_path):
         cache = TableCache(tmp_path)
-        doc = document_from_character_table(sym_induced_table(4), "sym", 4, "induced")
+        doc = document_from(sym_induced_table(4), "sym", 4, "induced")
         cache.store(doc)
         assert cache.path("sym", 4, "induced").exists()
         assert cache.lookup("sym", 4, "induced") == doc
@@ -122,7 +121,7 @@ class TestCache:
 
     def test_corrupt_file_is_a_miss(self, tmp_path):
         cache = TableCache(tmp_path)
-        doc = document_from_character_table(sym_induced_table(4), "sym", 4, "induced")
+        doc = document_from(sym_induced_table(4), "sym", 4, "induced")
         cache.store(doc)
         path = cache.path("sym", 4, "induced")
         path.write_text(path.read_text()[: len(path.read_text()) // 2])
@@ -131,7 +130,7 @@ class TestCache:
 
     def test_wrong_key_is_a_miss(self, tmp_path):
         cache = TableCache(tmp_path)
-        doc = document_from_character_table(sym_induced_table(4), "sym", 4, "induced")
+        doc = document_from(sym_induced_table(4), "sym", 4, "induced")
         cache.store(doc)
         target = cache.path("sym", 6, "induced")
         target.write_text(cache.path("sym", 4, "induced").read_text())
@@ -142,7 +141,7 @@ class TestCache:
         blocker = tmp_path / "blocked"
         blocker.write_text("this is a file, not a directory")
         cache = TableCache(blocker / "sub")
-        doc = document_from_character_table(sym_induced_table(4), "sym", 4, "induced")
+        doc = document_from(sym_induced_table(4), "sym", 4, "induced")
         with pytest.warns(CacheWarning):
             cache.store(doc)
         with warnings.catch_warnings():
@@ -151,7 +150,7 @@ class TestCache:
 
     def test_atomic_replacement(self, tmp_path):
         cache = TableCache(tmp_path)
-        doc = document_from_character_table(sym_induced_table(4), "sym", 4, "induced")
+        doc = document_from(sym_induced_table(4), "sym", 4, "induced")
         cache.store(doc)
         cache.store(doc)
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]

@@ -1,22 +1,22 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hobchar.tables import (
     CharacterTable,
     ExactnessError,
     TransitionMatrix,
-    exact_solve,
     first_column_orthogonality_failure,
     first_orthogonality_failure,
     mat_mul,
     transpose,
+    triangular_solve,
     weighted_gram_schmidt,
 )
 
-from _oracles import fraction_det, fraction_solve
+from _oracles import fraction_solve
 
 
 def table_of(entries, orders, group_order):
@@ -110,58 +110,95 @@ class TestOrthogonalityChecks:
         assert first_column_orthogonality_failure(t) == (0, 0, 1)
 
 
+def permuted_triangular(data, n, entries):
+    """A square matrix and its pivots: taken in the drawn pivot order, its
+    columns form an upper-triangular matrix with a non-zero diagonal."""
+    pivots = data.draw(st.permutations(range(n)), label="pivots")
+    a = [[0] * n for _ in range(n)]
+    for k, c in enumerate(pivots):
+        for j in range(k):
+            a[j][c] = data.draw(entries)
+        a[k][c] = data.draw(entries.filter(bool))
+    return a, pivots
+
+
+def solve_by_fractions(a, b):
+    """X with X A = B, through the Gauss-Jordan oracle on A^T X^T = B^T."""
+    return [list(col) for col in zip(*fraction_solve(transpose(a), transpose(b)))]
+
+
 class TestLinearAlgebra:
-    def test_exact_solve_round_trip(self):
-        a = ((2, 1), (1, 1))
-        b = ((5, 3), (3, 2))
-        x = exact_solve(a, b)
-        assert x == ((2, 1), (1, 1))
-        assert all(type(v) is int for row in x for v in row)
-        assert mat_mul(a, x) == b
+    # pivots (1, 0): row 0 pivots on column 1, row 1 on column 0, and row 1
+    # is zero below row 0's pivot
+    A = ((1, 2), (3, 0))
+    PIVOTS = (1, 0)
 
-    def test_exact_solve_singular(self):
-        with pytest.raises(ExactnessError, match="singular"):
-            exact_solve(((1, 1), (2, 2)), ((1, 0), (0, 1)))
+    def test_triangular_solve_round_trip(self):
+        x = ((2, -1), (0, 5), (7, 3))
+        b = mat_mul(x, self.A)
+        got = triangular_solve(self.A, self.PIVOTS, b)
+        assert got == x
+        assert all(type(v) is int for row in got for v in row)
+        assert [list(row) for row in got] == solve_by_fractions(self.A, b)
 
-    def test_exact_solve_non_integral(self):
+    def test_triangular_solve_zero_pivot(self):
+        with pytest.raises(ExactnessError, match="zero pivot in row 1, column 0"):
+            triangular_solve(((1, 2), (0, 0)), self.PIVOTS, ((1, 2),))
+
+    def test_triangular_solve_non_integral(self):
         with pytest.raises(ExactnessError, match="not an exact integer: 1/2"):
-            exact_solve(((2,),), ((1,),))
+            triangular_solve(((2,),), (0,), ((1,),))
 
-    def test_exact_solve_zero_first_pivot(self):
-        a = ((0, 2, 1), (1, 0, 3), (2, 1, 0))
-        x = ((1, -2), (0, 3), (4, 1))
-        assert exact_solve(a, mat_mul(a, x)) == x
+    def test_triangular_solve_nonzero_below_pivot(self):
+        # invertible, so a general solver would succeed; the substitution
+        # must refuse the broken structure instead
+        a = ((1, 2), (3, 1))
+        with pytest.raises(ExactnessError, match="below the pivot of row 0 in column 1"):
+            triangular_solve(a, self.PIVOTS, mat_mul(((1, 1),), a))
+
+    def test_triangular_solve_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):
+            triangular_solve(self.A, (1, 1), ((1, 2),))
+        with pytest.raises(ValueError):
+            triangular_solve(self.A, self.PIVOTS, ((1, 2, 3),))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_exact_solve_matches_fraction_solve(self, data):
+    def test_triangular_solve_matches_fraction_solve(self, data):
         n = data.draw(st.integers(1, 5), label="n")
         m = data.draw(st.integers(1, 3), label="m")
         entries = st.integers(-6, 6)
-        a = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
-        if data.draw(st.booleans(), label="zero first pivot"):
-            a[0][0] = 0
-        assume(fraction_det(a) != 0)
-        x = data.draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n))
-        b = mat_mul(a, x)
-        got = exact_solve(a, b)
+        a, pivots = permuted_triangular(data, n, entries)
+        x = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+        b = mat_mul(x, a)
+        got = triangular_solve(a, pivots, b)
         assert got == tuple(map(tuple, x))
-        assert [list(row) for row in got] == fraction_solve(a, b)
+        assert [list(row) for row in got] == solve_by_fractions(a, b)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_exact_solve_raises_exactly_when_not_integral(self, data):
+    def test_triangular_solve_refuses_entry_below_pivot(self, data):
+        n = data.draw(st.integers(2, 5), label="n")
+        a, pivots = permuted_triangular(data, n, st.integers(-6, 6))
+        k = data.draw(st.integers(0, n - 2), label="pivot row")
+        j = data.draw(st.integers(k + 1, n - 1), label="row below")
+        a[j][pivots[k]] = data.draw(st.integers(-6, 6).filter(bool))
+        with pytest.raises(ExactnessError, match=f"below the pivot of row {k}"):
+            triangular_solve(a, pivots, [[0] * n])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_triangular_solve_raises_exactly_when_not_integral(self, data):
         n = data.draw(st.integers(1, 4), label="n")
         entries = st.integers(-4, 4)
-        a = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
-        assume(fraction_det(a) != 0)
-        b = data.draw(st.lists(st.lists(entries, min_size=2, max_size=2), min_size=n, max_size=n))
-        expected = fraction_solve(a, b)
+        a, pivots = permuted_triangular(data, n, entries)
+        b = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=2, max_size=2))
+        expected = solve_by_fractions(a, b)
         if all(v.denominator == 1 for row in expected for v in row):
-            assert [list(row) for row in exact_solve(a, b)] == expected
+            assert [list(row) for row in triangular_solve(a, pivots, b)] == expected
         else:
             with pytest.raises(ExactnessError):
-                exact_solve(a, b)
+                triangular_solve(a, pivots, b)
 
     def test_transpose_mat_mul(self):
         a = ((1, 2), (3, 4))
