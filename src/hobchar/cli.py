@@ -36,8 +36,8 @@ from hobchar.tables import (
 
 SYM_DEFAULT_CAP = 12      # S_n degree for the formula pipeline
 HOB_DEFAULT_CAP = 6       # rank for the formula pipeline
-ORACLE_DEFAULT_CAP = 4    # rank for brute-force checks
-ORACLE_HARD_CAP = 5
+ORACLE_DEFAULT_CAP = 5    # rank for brute-force checks
+ORACLE_HARD_CAP = 6
 
 FORMATS = ("json", "csv", "latex", "pretty")
 TABLE_KINDS = (
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--allow-slow",
         action="store_true",
-        help="lift the desk-scale size caps (brute-force checks up to rank 5)",
+        help="lift the desk-scale size caps (brute-force checks up to rank 6)",
     )
 
     parser = argparse.ArgumentParser(

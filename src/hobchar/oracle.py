@@ -1,15 +1,17 @@
 """Brute-force ground truth for small ranks.
 
 Everything here works on explicitly enumerated signed permutations:
-conjugacy classes come from conjugating by every group element, induced
-characters from counting fixed cosets, and restriction multiplicities from
-summing over all elements.  It deliberately shares no machinery with the
-formula-based modules beyond the label types, and it must stay dumb: its
-value is being obviously correct, not fast.  It is still brute force over
-every element; it only avoids repeating work: each conjugate is built once,
-in one pass, and each class keeps the keys of the members its closure
-found, which every subgroup's fixed-coset count then reads.  Rank is
-capped at 5 (2**5 * 5! = 3840 elements).
+conjugacy classes are orbits under conjugation by the Coxeter generators,
+induced characters come from counting fixed cosets, and restriction
+multiplicities from summing over all elements.  It deliberately shares no
+machinery with the formula-based modules beyond the label types, and it
+must stay dumb: its value is being obviously correct, not fast.  It is
+still brute force over every element; it only avoids repeating work: each
+conjugate is built once, in one pass, each class is closed by conjugating
+its members by the n generators rather than by every group element, and
+each class keeps the keys of its members, which every subgroup's
+fixed-coset count then reads.  Rank is capped at 6 (2**6 * 6! = 46080
+elements); the coset and restriction brute force stop at rank 4.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from hobchar.reduction import BranchingMatrix
 from hobchar.symmetric import CycleType
 from hobchar.tables import ExactnessError, exact_div
 
-MAX_RANK = 5
+MAX_RANK = 6
 
 
 @dataclass(frozen=True)
@@ -185,24 +187,48 @@ class OracleClass:
     members: frozenset = field(repr=False)  # keys of every element of the class
 
 
+def coxeter_generators(n: int) -> tuple[SignedPermutation, ...]:
+    """The n Coxeter generators: the sign flip at point 1 and the n - 1
+    adjacent transpositions (i, i + 1).  Each is its own inverse."""
+    flip = SignedPermutation(tuple(range(1, n + 1)), (-1,) + (1,) * (n - 1))
+    swaps = []
+    for i in range(1, n):
+        perm = list(range(1, n + 1))
+        perm[i - 1], perm[i] = i + 1, i
+        swaps.append(SignedPermutation(tuple(perm), (1,) * n))
+    return (flip, *swaps)
+
+
 @lru_cache(maxsize=None)
 def oracle_class_data(n: int) -> tuple[OracleClass, ...]:
-    """Conjugacy classes by explicit conjugation closure.
+    """Conjugacy classes as orbits under conjugation by the generators.
 
-    Classes are ordered by first occurrence in the element enumeration;
-    the representative is the lexicographically minimal element, and the
-    member keys are kept for the fixed-coset counts.  The
-    cycle-sign census and the ambient cycle type are read off every
-    element and must be constant on the class.
+    Every element is enumerated.  The first element not yet in a class
+    starts a new one, which is closed breadth first: each member found is
+    conjugated by each Coxeter generator, and every other member is the
+    result of such an explicit conjugation.  The generators generate the
+    group, so the orbit is the whole class.  Classes are ordered by first
+    occurrence in the element enumeration; the representative is the
+    lexicographically minimal element, and the member keys are kept for
+    the fixed-coset counts.  The cycle-sign census and the ambient cycle
+    type are read off every element and must be constant on the class.
     """
     _check_rank(n)
     elements = enumerate_group(n)
+    generators = coxeter_generators(n)
     assigned: set = set()
     out = []
     for g in elements:
         if g.key() in assigned:
             continue
-        members = {c.key(): c for c in (g.conjugate(x) for x in elements)}
+        members = {g.key(): g}
+        queue = [g]
+        for h in queue:  # grows as the orbit is found: breadth first
+            for s in generators:
+                c = h.conjugate(s)
+                if c.key() not in members:
+                    members[c.key()] = c
+                    queue.append(c)
         assigned.update(members)
         rep = members[min(members)]
         alphas = {c.alpha_system().label for c in members.values()}
@@ -341,8 +367,8 @@ def oracle_agreement(n: int) -> "CheckReport":
     count and sizes, fusion images, every induced-character value, and the
     irreducible branching matrix.
 
-    At rank 5 only the class-level comparisons run (coset and restriction
-    brute force stay capped at rank 4)."""
+    At ranks 5 and 6 only the class-level comparisons run (coset and
+    restriction brute force stay capped at rank 4)."""
     from hobchar.embedding import fuse_class
     from hobchar.hyperoct import hob_classes, hob_induced_table
     from hobchar.reduction import reduce_irreducible

@@ -183,10 +183,6 @@ def mat_mul(a, b):
     )
 
 
-def transpose(a):
-    return tuple(zip(*a))
-
-
 def triangular_solve(rows, pivots, rhs):
     """Solve X A = B by substitution, where A is square and the column of
     each row's pivot is zero below that row: A[k][pivots[k]] != 0 and

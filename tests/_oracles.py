@@ -51,6 +51,11 @@ def fraction_det(matrix):
     return det
 
 
+def transpose(a):
+    """Rows of ``a`` as columns, as a tuple of tuples."""
+    return tuple(zip(*a))
+
+
 def fraction_solve(a, b):
     """The unique X with A X = B over exact rationals, by Gauss-Jordan
     elimination; raises ``ZeroDivisionError`` when A is singular."""

@@ -6,7 +6,7 @@ def pytest_addoption(parser):
         "--runslow",
         action="store_true",
         default=False,
-        help="run the slow checks (rank-5 brute force, big chains and tables)",
+        help="run the slow checks (rank-5 and rank-6 brute force, big chains and tables)",
     )
 
 

@@ -233,9 +233,16 @@ class TestVerifyCommand:
         assert all(r["pass"] for r in payload["reports"])
 
     def test_oracle_cap(self, capsys):
-        code, _, err = invoke(capsys, "verify", "--check", "oracle", "--n", "5")
+        code, _, err = invoke(capsys, "verify", "--check", "oracle", "--n", "6")
         assert code == 2
         assert "--allow-slow" in err
+
+    def test_oracle_hard_cap(self, capsys):
+        code, _, err = invoke(
+            capsys, "verify", "--check", "oracle", "--n", "7", "--allow-slow"
+        )
+        assert code == 2
+        assert "capped at rank 6" in err
 
 
 class TestCacheIntegration:

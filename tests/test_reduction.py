@@ -14,9 +14,9 @@ from hobchar.reduction import (
     verify_consistency,
 )
 from hobchar.symmetric import sym_classes, sym_irreducible_table
-from hobchar.tables import ExactnessError, mat_mul, transpose
+from hobchar.tables import ExactnessError, mat_mul
 
-from _oracles import fraction_solve
+from _oracles import fraction_solve, transpose
 
 # Frozen rank-2 branching matrices.
 B2_R1 = (

@@ -11,12 +11,11 @@ from hobchar.tables import (
     first_column_orthogonality_failure,
     first_orthogonality_failure,
     mat_mul,
-    transpose,
     triangular_solve,
     weighted_gram_schmidt,
 )
 
-from _oracles import fraction_solve
+from _oracles import fraction_solve, transpose
 
 
 def table_of(entries, orders, group_order):
