@@ -16,9 +16,7 @@ from hobchar.chains import (
     weyl_matrix,
 )
 from hobchar.combinatorics import (
-    CellMatrix,
     Partition,
-    enumerate_cell_matrices,
     even_partition_count,
     partitions,
     sign_flag_vectors,

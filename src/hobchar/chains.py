@@ -98,23 +98,20 @@ def _identity(labels) -> BranchingMatrix:
     )
 
 
-def sym_chain(n: int, down_to: int = 2) -> BranchingMatrix:
-    """Composed one-box chain from S_n down to S_down_to."""
-    if down_to > n:
-        raise ValueError("down_to exceeds n")
-    if down_to == n:
+def sym_chain(n: int) -> BranchingMatrix:
+    """Composed one-box chain from S_n down to S_2 (the identity at n = 2)."""
+    if n == 2:
         return _identity(partitions(n))
-    return chain_compose(weyl_matrix(m) for m in range(n, down_to, -1))
+    return chain_compose(weyl_matrix(m) for m in range(n, 2, -1))
 
 
-def hob_chain(n: int, down_to: int = 1) -> BranchingMatrix:
-    """Composed restriction chain from rank n down to rank down_to."""
-    if down_to > n:
-        raise ValueError("down_to exceeds n")
-    if down_to == n:
+def hob_chain(n: int) -> BranchingMatrix:
+    """Composed restriction chain from rank n down to rank 1 (the identity
+    at n = 1)."""
+    if n == 1:
         y, _ = hob_irreducible_table(n)
         return _identity(y.row_labels)
-    return chain_compose(hob_restriction_matrix(m) for m in range(n, down_to, -1))
+    return chain_compose(hob_restriction_matrix(m) for m in range(n, 1, -1))
 
 
 def method_b_verify(n: int) -> CheckReport:

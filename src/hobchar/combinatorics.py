@@ -1,5 +1,5 @@
-"""Partitions, sign-flag vectors, the constrained cell-matrix enumerator,
-and the cycle-placement recursion that fills the induced tables.
+"""Partitions, sign-flag vectors and the cycle-placement recursion that
+fills the induced tables.
 
 Everything here is exact integer combinatorics.  The orderings are part of
 the API: table rows and columns downstream are compared entry-by-entry
@@ -88,146 +88,6 @@ def sign_flag_vectors(partition: Partition) -> tuple[tuple[int, ...], ...]:
         ):
             out.append(cand)
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class CellMatrix:
-    """One way of distributing the cycles of a class over subgroup parts.
-
-    ``entries[i][j]`` counts cycles of length ``i + 1`` placed into part
-    ``j`` (the positive-cycle counts in the signed variant).  For the
-    signed variant ``neg_entries`` holds the negative-cycle counts in the
-    same layout; it is ``None`` otherwise.
-    """
-
-    entries: tuple[tuple[int, ...], ...]
-    neg_entries: tuple[tuple[int, ...], ...] | None = None
-
-    def flattened(self) -> tuple[int, ...]:
-        """Row-major flattening; signed matrices interleave (+, -) per cell.
-
-        This is the sort key behind the deterministic enumeration order.
-        """
-        if self.neg_entries is None:
-            return tuple(v for row in self.entries for v in row)
-        return tuple(
-            v
-            for prow, nrow in zip(self.entries, self.neg_entries)
-            for cell in zip(prow, nrow)
-            for v in cell
-        )
-
-
-def _compositions(total, bounds):
-    """Weak compositions of ``total`` with per-slot upper bounds."""
-    k = len(bounds)
-    if k == 0:
-        if total == 0:
-            yield ()
-        return
-
-    def rec(j, left):
-        if j == k - 1:
-            if left <= bounds[j]:
-                yield (left,)
-            return
-        for c in range(min(left, bounds[j]) + 1):
-            for rest in rec(j + 1, left - c):
-                yield (c,) + rest
-
-    yield from rec(0, total)
-
-
-def _normalize_exponents(class_exponents, signed):
-    if signed:
-        pos, neg = class_exponents
-        pos, neg = tuple(pos), tuple(neg)
-        length = max(len(pos), len(neg), 1)
-        pos += (0,) * (length - len(pos))
-        neg += (0,) * (length - len(neg))
-        return pos, neg
-    exps = tuple(class_exponents)
-    return exps if exps else (0,)
-
-
-def _iter_cell_matrices(class_exponents, parts, *, signed=False, parity_mask=None):
-    """Generate all admissible matrices, in no particular order."""
-    parts = tuple(parts)
-    k = len(parts)
-    if signed:
-        pos, neg = _normalize_exponents(class_exponents, True)
-        length = len(pos)
-        if sum((i + 1) * (p + q) for i, (p, q) in enumerate(zip(pos, neg))) != sum(parts):
-            return
-        mask = tuple(parity_mask) if parity_mask is not None else (0,) * k
-        rem = list(parts)
-
-        def rec(i, prows, nrows):
-            if i == length:
-                if any(rem):
-                    return
-                for j in range(k):
-                    if mask[j] and sum(row[j] for row in nrows) % 2:
-                        return
-                yield CellMatrix(tuple(prows), tuple(nrows))
-                return
-            step = i + 1
-            for prow in _compositions(pos[i], [r // step for r in rem]):
-                for j in range(k):
-                    rem[j] -= step * prow[j]
-                for nrow in _compositions(neg[i], [r // step for r in rem]):
-                    for j in range(k):
-                        rem[j] -= step * nrow[j]
-                    yield from rec(i + 1, prows + [prow], nrows + [nrow])
-                    for j in range(k):
-                        rem[j] += step * nrow[j]
-                for j in range(k):
-                    rem[j] += step * prow[j]
-
-        yield from rec(0, [], [])
-    else:
-        exps = _normalize_exponents(class_exponents, False)
-        length = len(exps)
-        if sum((i + 1) * e for i, e in enumerate(exps)) != sum(parts):
-            return
-        rem = list(parts)
-
-        def rec(i, rows):
-            if i == length:
-                if not any(rem):
-                    yield CellMatrix(tuple(rows))
-                return
-            step = i + 1
-            for row in _compositions(exps[i], [r // step for r in rem]):
-                for j in range(k):
-                    rem[j] -= step * row[j]
-                yield from rec(i + 1, rows + [row])
-                for j in range(k):
-                    rem[j] += step * row[j]
-
-        yield from rec(0, [])
-
-
-def enumerate_cell_matrices(class_exponents, parts, *, signed=False, parity_mask=None):
-    """All non-negative integer cycle distributions for one table cell.
-
-    ``class_exponents`` lists cycle counts by length (index 0 holds the
-    1-cycles); in the signed variant it is a ``(positive, negative)`` pair
-    of such lists.  ``parts`` gives the column weights.  Every returned
-    matrix places all cycles of each length (row sums) and fills each part
-    exactly (weighted column sums); with ``parity_mask[j] == 1`` only
-    matrices whose column ``j`` holds an even number of negative cycles
-    survive.  The result is sorted on :meth:`CellMatrix.flattened`, so the
-    output order is deterministic.  Unsatisfiable constraints (including a
-    total-weight mismatch) yield an empty list.
-    """
-    out = list(
-        _iter_cell_matrices(
-            class_exponents, parts, signed=signed, parity_mask=parity_mask
-        )
-    )
-    out.sort(key=CellMatrix.flattened)
-    return out
 
 
 def _count_placements(cycles, parts, flags) -> int:

@@ -1,16 +1,14 @@
 """Small independent oracles used only by the tests.
 
 These deliberately re-derive quantities through different algorithms than
-the package (recursive counting, exhaustive filtering, generic Gaussian
-elimination) so agreement is meaningful.
+the package (recursive counting, exhaustive filtering, polynomial
+expansion, generic Gaussian elimination) so agreement is meaningful.
 """
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
-
-from hobchar.combinatorics import enumerate_cell_matrices
+from math import factorial
 
 
 @lru_cache(maxsize=None)
@@ -116,92 +114,43 @@ def young_coset_character(parts, images):
     )
 
 
-def brute_cell_matrices(exps, parts):
-    """Every admissible unsigned matrix, by exhaustive filtering.
+def signed_induced_value_by_expansion(pos, neg, parts, flags):
+    """Induced rank-N character value read off a polynomial.
 
-    Exponential; only for tiny inputs.
+    Expand the product, over the cycles of the class (length L, s = 1 for
+    a negative cycle), of sum_j x_j^L y_j^s, keeping for every part j its
+    x-degree (fill) and its y-degree mod 2 (parity), and dropping a term
+    once a fill overflows its part.  The value is 2 per flag-1 part times
+    the coefficient at fill == parts with even parity on every flag-1 part.
     """
-    length, k = len(exps), len(parts)
-    bound = max(parts, default=0)
-    out = set()
-    for flat in itertools.product(range(bound + 1), repeat=length * k):
-        m = [flat[i * k : (i + 1) * k] for i in range(length)]
-        if any(sum(m[i]) != exps[i] for i in range(length)):
-            continue
-        if any(
-            sum((i + 1) * m[i][j] for i in range(length)) != parts[j]
-            for j in range(k)
-        ):
-            continue
-        out.add(tuple(map(tuple, m)))
-    return out
+    parts, k = tuple(parts), len(parts)
+    cycles = [(i + 1, 0) for i, e in enumerate(pos) for _ in range(e)]
+    cycles += [(i + 1, 1) for i, e in enumerate(neg) for _ in range(e)]
+    poly = {((0,) * k, (0,) * k): 1}
+    for length, sign in cycles:
+        grown = {}
+        for (fill, parity), coeff in poly.items():
+            for j in range(k):
+                if fill[j] + length <= parts[j]:
+                    key = (
+                        fill[:j] + (fill[j] + length,) + fill[j + 1 :],
+                        parity[:j] + (parity[j] ^ sign,) + parity[j + 1 :],
+                    )
+                    grown[key] = grown.get(key, 0) + coeff
+        poly = grown
+    even = [
+        coeff
+        for (fill, parity), coeff in poly.items()
+        if fill == parts and not any(f and p for f, p in zip(flags, parity))
+    ]
+    return (1 << sum(flags)) * sum(even)
 
 
-def brute_signed_cell_matrices(pos, neg, parts, mask):
-    """Every admissible signed matrix pair, by exhaustive filtering."""
-    length = max(len(pos), len(neg))
-    pos = tuple(pos) + (0,) * (length - len(pos))
-    neg = tuple(neg) + (0,) * (length - len(neg))
-    k = len(parts)
-    bound = max(parts, default=0)
-    out = set()
-    for pflat in itertools.product(range(bound + 1), repeat=length * k):
-        p = [pflat[i * k : (i + 1) * k] for i in range(length)]
-        if any(sum(p[i]) != pos[i] for i in range(length)):
-            continue
-        for nflat in itertools.product(range(bound + 1), repeat=length * k):
-            q = [nflat[i * k : (i + 1) * k] for i in range(length)]
-            if any(sum(q[i]) != neg[i] for i in range(length)):
-                continue
-            if any(
-                sum((i + 1) * (p[i][j] + q[i][j]) for i in range(length)) != parts[j]
-                for j in range(k)
-            ):
-                continue
-            if any(
-                mask[j] and sum(q[i][j] for i in range(length)) % 2
-                for j in range(k)
-            ):
-                continue
-            out.add((tuple(map(tuple, p)), tuple(map(tuple, q))))
-    return out
-
-
-def _multinomial(total, counts):
-    return factorial(total) // prod(map(factorial, counts))
-
-
-def _padded(seq, length):
-    seq = tuple(seq)
-    return seq + (0,) * (length - len(seq))
-
-
-def fold_induced_value(exponents, parts):
-    """Induced S_n character value for one cell, as the sum over every cell
-    matrix of the per-length multinomial products."""
-    total = 0
-    for m in enumerate_cell_matrices(tuple(exponents), tuple(parts)):
-        term = 1
-        for e, row in zip(_padded(exponents, len(m.entries)), m.entries):
-            term *= _multinomial(e, row)
-        total += term
-    return total
-
-
-def fold_signed_induced_value(pos, neg, parts, flags):
-    """Signed variant of :func:`fold_induced_value`: 2 per flag-1 part
-    times the fold over the signed cell matrices."""
-    total = 0
-    for m in enumerate_cell_matrices(
-        (tuple(pos), tuple(neg)), tuple(parts), signed=True, parity_mask=flags
-    ):
-        term = 1
-        for e, row in zip(_padded(pos, len(m.entries)), m.entries):
-            term *= _multinomial(e, row)
-        for e, row in zip(_padded(neg, len(m.neg_entries)), m.neg_entries):
-            term *= _multinomial(e, row)
-        total += term
-    return (1 << sum(flags)) * total
+def induced_value_by_expansion(exponents, parts):
+    """Induced S_n character value: the coefficient of x^parts in the power
+    sum product p_mu (Macdonald, I.6), by the same expansion with no
+    negative cycles and no flags."""
+    return signed_induced_value_by_expansion(exponents, (), parts, (0,) * len(parts))
 
 
 def hook_length_degree(parts):

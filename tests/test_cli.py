@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -318,3 +319,95 @@ class TestCacheIntegration:
             warnings.simplefilter("error")  # any warning would blow up
             code, _, _ = invoke(capsys, *args, "--quiet")
         assert code == 0
+
+
+# SHA-256 of stdout and the exit code of ``verify`` and ``branch`` in every
+# format at ranks 1-3.  Only their JSON was pinned elsewhere, so a renderer
+# change that moves a single byte of CSV, LaTeX or pretty output fails here.
+GOLDEN_OUTPUT = [
+    ("verify --check all", 1, "json", 0,
+     "e90022d695feaffcab99f7284dcd5300a26ea05fa86b62654657203b374b5bf9"),
+    ("verify --check all", 1, "csv", 0,
+     "53f38edf78aaaa8260eb2d1992588c966e616110c86257b04bf7965d6947c3be"),
+    ("verify --check all", 1, "latex", 0,
+     "22ed4d2c5004bdbbbe1e393d3c4eeaa1e8d6e40fccd2ca3ca9eab6bb3f7de560"),
+    ("verify --check all", 1, "pretty", 0,
+     "17bcd6990d3219ce07024750a8d0ddf49be4fe899c90cef982a2a6fb38718b8b"),
+    ("verify --check all", 2, "json", 0,
+     "180f3798c0cd3a67afa74653a44fab9d70d48da8c8122d3ad937a9bcdbc73e39"),
+    ("verify --check all", 2, "csv", 0,
+     "815c96a552918f3fb8373b55137b5ad31922f8c6ddb52edcb73fe355be53fa12"),
+    ("verify --check all", 2, "latex", 0,
+     "f218de988c818cc4a7ec2a498c1793617b793028278ed6136e301b207dc0340c"),
+    ("verify --check all", 2, "pretty", 0,
+     "6bd0dc673c418310760b69e3bc68a760b917831959b412be0792958e62a22791"),
+    ("verify --check all", 3, "json", 0,
+     "aa7f7c581e21308efd366437f934c65f597ae344354ba01bfe4945c6dd1c0baa"),
+    ("verify --check all", 3, "csv", 0,
+     "07edc5138ec05b9570a8e69c407e155c71af4173f01d8005c0ec97dfb210c7f9"),
+    ("verify --check all", 3, "latex", 0,
+     "606d2fbbc8a0ed8e6300e3878bb5c8becb2ac58ad07a21d73b5d728a5617d499"),
+    ("verify --check all", 3, "pretty", 0,
+     "68a4eefff709499db774f3cd9750c7c604a48abf8fd2b8a7919f95aea2799cae"),
+    ("branch --kind irreducible", 1, "json", 0,
+     "0acfe53f1701c492e3e9242001ebeca96d220255f89c4c7721f458cf7f64758f"),
+    ("branch --kind irreducible", 1, "csv", 0,
+     "79e97b61d6c24eff6230aab7e6ec79c1dd0a07f67325ad64160b063889596df4"),
+    ("branch --kind irreducible", 1, "latex", 0,
+     "a746d3b89032306c302787b178d5de1cc44dceeca74c1a19cb862e24cf709c90"),
+    ("branch --kind irreducible", 1, "pretty", 0,
+     "a3e8d97d13129921361fb379606a5bfb422fa5a13289e29b3d6c6e7be12bec90"),
+    ("branch --kind irreducible", 2, "json", 0,
+     "87eac37e080b362d1ec54b4be72704b9b94a2c7290b353905e835bd191d1fc83"),
+    ("branch --kind irreducible", 2, "csv", 0,
+     "7b01dfaa9ccbad94afeb3aec86169582cdb982ee290dae230c486568fd54f352"),
+    ("branch --kind irreducible", 2, "latex", 0,
+     "e04d6f525a69beb6afd2265feca665235ae5e635015b18114c9e6fea112a06f5"),
+    ("branch --kind irreducible", 2, "pretty", 0,
+     "a371d28de8ba89ee716b09c4e05c2e4f90f3d6aa1446475f3688e2bbd566bd38"),
+    ("branch --kind irreducible", 3, "json", 0,
+     "352842c51634579a15da9017c3e0ffc0a05a1fc5647f3ae2aa9a595573b79deb"),
+    ("branch --kind irreducible", 3, "csv", 0,
+     "dfc1a59e70d050a0532d399555b1f5a98c275b81533516a61f362ca2d2d991bb"),
+    ("branch --kind irreducible", 3, "latex", 0,
+     "043bf8f617aa8caf424453a079aa6131f8264ea52e665a37a527dac4dfb83011"),
+    ("branch --kind irreducible", 3, "pretty", 0,
+     "eb665a60ca000ae34301d8bb764303cd60784a7ae4008bdd376a32edd7f3b808"),
+    ("branch --kind induced", 1, "json", 0,
+     "0acfe53f1701c492e3e9242001ebeca96d220255f89c4c7721f458cf7f64758f"),
+    ("branch --kind induced", 1, "csv", 0,
+     "79e97b61d6c24eff6230aab7e6ec79c1dd0a07f67325ad64160b063889596df4"),
+    ("branch --kind induced", 1, "latex", 0,
+     "a746d3b89032306c302787b178d5de1cc44dceeca74c1a19cb862e24cf709c90"),
+    ("branch --kind induced", 1, "pretty", 0,
+     "a3e8d97d13129921361fb379606a5bfb422fa5a13289e29b3d6c6e7be12bec90"),
+    ("branch --kind induced", 2, "json", 0,
+     "62c7f5115f91ce378d4bfd1e753b4e3c59c5a8382eac1d21c5dda6fc91c15151"),
+    ("branch --kind induced", 2, "csv", 0,
+     "6fcd82a4dd252ee7c0f59eebed0dce5a46c36b7ee86865a42271ebd0e5cd7c87"),
+    ("branch --kind induced", 2, "latex", 0,
+     "216899940693cee87bf59b1fd19adb5c9499e11c28319dff36d9d09022192229"),
+    ("branch --kind induced", 2, "pretty", 0,
+     "345fa60dc6e2a82650d2b385e82a6800a856db8dbfe11e009b315fe31b36f5a6"),
+    ("branch --kind induced", 3, "json", 0,
+     "194267b7c5ed2f2b533a3409785891bf8d0b041f407eb1012a5b8355243107d1"),
+    ("branch --kind induced", 3, "csv", 0,
+     "ce0a57c5d26952affc9d0624d99d2bed72f02b5d53654f5edb26214a6257dd63"),
+    ("branch --kind induced", 3, "latex", 0,
+     "ef285f1c6a7ebc715d7149cdcfab8fc9cfc30ce21228f0384e5b39cb87078983"),
+    ("branch --kind induced", 3, "pretty", 0,
+     "437d3479904a3dfdb9e4ab13276a9fcee5446f125d8454a4acca7022781703b8"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,n,fmt,code,digest",
+    GOLDEN_OUTPUT,
+    ids=[f"{c.split()[-1]}-{n}-{fmt}" for c, n, fmt, _, _ in GOLDEN_OUTPUT],
+)
+def test_golden_output(capsys, command, n, fmt, code, digest):
+    got, out, _ = invoke(
+        capsys, *command.split(), "--n", str(n), "--format", fmt, "--no-cache"
+    )
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

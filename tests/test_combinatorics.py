@@ -3,15 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hobchar.combinatorics import (
-    CellMatrix,
     Partition,
-    enumerate_cell_matrices,
     even_partition_count,
     partitions,
     sign_flag_vectors,
 )
 
-from _oracles import brute_cell_matrices, brute_signed_cell_matrices, partition_count
+from _oracles import partition_count
 
 
 def P(*parts):
@@ -85,88 +83,6 @@ class TestSignFlags:
                 for i in range(len(f) - 1):
                     if lam[i] == lam[i + 1]:
                         assert f[i] <= f[i + 1]
-
-
-class TestCellMatrices:
-    def test_unique_solution_for_small_cell(self):
-        # class with two 1-cycles and one 2-cycle, parts (3, 1)
-        got = enumerate_cell_matrices((2, 1), (3, 1))
-        assert len(got) == 1
-        (m,) = got
-        assert m.entries == ((1, 1), (1, 0))
-
-    def test_identity_class_single_part(self):
-        got = enumerate_cell_matrices((5,), (5,))
-        assert len(got) == 1
-        assert got[0].entries == ((5,),)
-
-    def test_parity_makes_cell_empty(self):
-        # one positive and one negative 1-cycle cannot fill a flagged part
-        got = enumerate_cell_matrices(
-            ((1,), (1,)), (2,), signed=True, parity_mask=(1,)
-        )
-        assert got == []
-
-    def test_weight_mismatch_is_empty(self):
-        assert enumerate_cell_matrices((1,), (2,)) == []
-
-    def test_sorted_deterministically(self):
-        got = enumerate_cell_matrices((2, 2), (3, 2, 1))
-        keys = [m.flattened() for m in got]
-        assert keys == sorted(keys)
-        assert len(set(keys)) == len(keys)
-
-    @pytest.mark.parametrize(
-        "exps,parts",
-        [
-            ((2, 1), (3, 1)),
-            ((4,), (2, 1, 1)),
-            ((2, 2), (3, 2, 1)),
-            ((0, 3), (4, 2)),
-            ((1, 1, 1), (3, 2, 1)),
-            ((6,), (3, 2, 1)),
-        ],
-    )
-    def test_matches_exhaustive_search(self, exps, parts):
-        got = {m.entries for m in enumerate_cell_matrices(exps, parts)}
-        assert got == brute_cell_matrices(exps, parts)
-
-    @pytest.mark.parametrize(
-        "pos,neg,parts,mask",
-        [
-            ((1,), (1,), (2,), (1,)),
-            ((1,), (1,), (2,), (0,)),
-            ((2,), (2,), (2, 1, 1), (1, 0, 1)),
-            ((0, 1), (2,), (2, 2), (0, 1)),
-            ((1, 1), (1,), (2, 2), (1, 1)),
-        ],
-    )
-    def test_signed_matches_exhaustive_search(self, pos, neg, parts, mask):
-        got = {
-            (m.entries, m.neg_entries)
-            for m in enumerate_cell_matrices(
-                (pos, neg), parts, signed=True, parity_mask=mask
-            )
-        }
-        assert got == brute_signed_cell_matrices(pos, neg, parts, mask)
-
-    def test_flattened_interleaves_signs(self):
-        m = CellMatrix(((1, 0),), ((0, 2),))
-        assert m.flattened() == (1, 0, 0, 2)
-
-    @given(st.integers(min_value=1, max_value=8), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_every_matrix_revalidates(self, n, data):
-        lam = data.draw(st.sampled_from(partitions(n)))
-        mu = data.draw(st.sampled_from(partitions(n)))
-        exps = [0] * mu[0]
-        for part in mu:
-            exps[part - 1] += 1
-        for m in enumerate_cell_matrices(exps, lam.parts):
-            for i, row in enumerate(m.entries):
-                assert sum(row) == exps[i]
-            for j in range(len(lam)):
-                assert sum((i + 1) * m.entries[i][j] for i in range(len(exps))) == lam[j]
 
 
 class TestEvenPartitionCount:
