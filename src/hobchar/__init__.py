@@ -47,7 +47,6 @@ from hobchar.reduction import (
 )
 from hobchar.reports import CheckReport
 from hobchar.symmetric import (
-    CycleType,
     sym_classes,
     sym_induced_char,
     sym_induced_table,

@@ -100,6 +100,8 @@ def _identity(labels) -> BranchingMatrix:
 
 def sym_chain(n: int) -> BranchingMatrix:
     """Composed one-box chain from S_n down to S_2 (the identity at n = 2)."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
     if n == 2:
         return _identity(partitions(n))
     return chain_compose(weyl_matrix(m) for m in range(n, 2, -1))
@@ -108,6 +110,8 @@ def sym_chain(n: int) -> BranchingMatrix:
 def hob_chain(n: int) -> BranchingMatrix:
     """Composed restriction chain from rank n down to rank 1 (the identity
     at n = 1)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n == 1:
         y, _ = hob_irreducible_table(n)
         return _identity(y.row_labels)

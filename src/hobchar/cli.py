@@ -37,7 +37,6 @@ from hobchar.tables import (
 SYM_DEFAULT_CAP = 12      # S_n degree for the formula pipeline
 HOB_DEFAULT_CAP = 6       # rank for the formula pipeline
 ORACLE_DEFAULT_CAP = 5    # rank for brute-force checks
-ORACLE_HARD_CAP = 6
 
 FORMATS = ("json", "csv", "latex", "pretty")
 TABLE_KINDS = (
@@ -58,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--allow-slow",
         action="store_true",
-        help="lift the desk-scale size caps (brute-force checks up to rank 6)",
+        help=f"lift the desk-scale size caps (brute-force checks up to rank {oracle.MAX_RANK})",
     )
 
     parser = argparse.ArgumentParser(
@@ -255,7 +254,7 @@ def cmd_verify(args) -> int:
     hi = args.max_n if args.max_n is not None else lo
     if lo < 1 or hi < lo:
         raise ValueError(f"bad verification range {lo}..{hi}")
-    oracle_cap = ORACLE_HARD_CAP if args.allow_slow else ORACLE_DEFAULT_CAP
+    oracle_cap = oracle.MAX_RANK if args.allow_slow else ORACLE_DEFAULT_CAP
     _check_cap(hi, HOB_DEFAULT_CAP, "n", args.allow_slow)
     if args.check == "oracle" and hi > oracle_cap:
         raise ValueError(

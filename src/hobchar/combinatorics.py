@@ -139,17 +139,18 @@ def _cycles(exponents, negative=0):
     ]
 
 
-def induced_value(exponents, parts) -> int:
+def induced_value(cycle_type, parts) -> int:
     """Value of the S_n character induced from the trivial character of the
-    Young subgroup with ``parts``, at the class whose ``exponents[i]``
-    counts its (i+1)-cycles.
+    Young subgroup with ``parts``, at the class with the weakly decreasing
+    cycle lengths ``cycle_type``.
 
     It counts the ways to put each labelled cycle into a part so that
     every part is filled exactly: the coefficient of x^parts in the
     product of power sums p_mu (Macdonald, I.6).  A total-weight mismatch
     gives 0.
     """
-    return _count_placements(_cycles(exponents), parts, (0,) * len(parts))
+    cycles = [(length, 0) for length in cycle_type]
+    return _count_placements(cycles, parts, (0,) * len(parts))
 
 
 def signed_induced_value(pos, neg, parts, flags) -> int:

@@ -14,86 +14,51 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
+from hobchar.combinatorics import Partition
 from hobchar.hyperoct import AlphaSystem, group_order, hob_classes
-from hobchar.symmetric import CycleType, sym_classes, sym_induced_table, sym_irreducible_table
+from hobchar.symmetric import sym_classes, sym_induced_table, sym_irreducible_table
 from hobchar.tables import CharacterTable, ExactnessError, exact_div
 
 
-def fuse_class(alpha: AlphaSystem, n: int | None = None) -> CycleType:
+def fuse_class(alpha: AlphaSystem, n: int) -> Partition:
     """Ambient cycle type of a class: positive i-cycles contribute two
     i-cycles each, negative i-cycles one 2i-cycle each."""
-    if n is not None and alpha.weight != n:
+    if alpha.weight != n:
         raise ValueError(f"class {alpha.label!r} does not have weight {n}")
-    length = 2 * len(alpha.pos)
-    exps = [0] * length
-    for i, (p, q) in enumerate(zip(alpha.pos, alpha.neg)):
-        exps[i] += 2 * p
-        exps[2 * i + 1] += q
-    return CycleType(tuple(exps))
+    lengths = []
+    for i, (p, q) in enumerate(zip(alpha.pos, alpha.neg), start=1):
+        lengths += [i] * (2 * p) + [2 * i] * q
+    return Partition(tuple(sorted(lengths, reverse=True)))
 
 
 @dataclass(frozen=True)
 class FusionMap:
-    """Both directions of the class fusion for one rank.
+    """The class fusion for one rank.
 
     ``images[k]`` is the ambient cycle type of subgroup class ``k`` (in
-    class-column order); ``fibers[c]`` lists the subgroup class indices
-    landing on ambient class ``c``, and ``intersection_orders[c]`` their
-    total size (the order of the ambient class's intersection with the
-    subgroup).
+    class-column order); ``intersection_orders[c]`` is the total size of
+    the subgroup classes landing on ambient class ``c`` (the order of the
+    ambient class's intersection with the subgroup).
     """
 
-    n: int
-    images: tuple[CycleType, ...]
-    fibers: tuple[tuple[int, ...], ...]
+    images: tuple[Partition, ...]
     intersection_orders: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        """JSON form carrying both directions of the fusion."""
-        classes = hob_classes(self.n)
-        sym_cols = sym_classes(2 * self.n)
-        return {
-            "schema_version": 1,
-            "n": self.n,
-            "classes": [
-                {"class": alpha.label, "image": image.label}
-                for (alpha, _), image in zip(classes, self.images)
-            ],
-            "ambient_classes": [
-                {
-                    "class": ct.label,
-                    "fiber": [classes[k][0].label for k in fiber],
-                    "intersection_order": order,
-                }
-                for (ct, _), fiber, order in zip(
-                    sym_cols, self.fibers, self.intersection_orders
-                )
-            ],
-        }
 
 
 def fusion_map(n: int) -> FusionMap:
     sym_cols = sym_classes(2 * n)
-    col_index = {ct.label: c for c, (ct, _) in enumerate(sym_cols)}
+    col_index = {ct: c for c, (ct, _) in enumerate(sym_cols)}
     images = []
-    fibers = [[] for _ in sym_cols]
     inter = [0] * len(sym_cols)
-    for k, (alpha, order) in enumerate(hob_classes(n)):
+    for alpha, order in hob_classes(n):
         image = fuse_class(alpha, n)
         images.append(image)
-        c = col_index[image.label]
-        fibers[c].append(k)
-        inter[c] += order
+        inter[col_index[image]] += order
     if sum(inter) != group_order(n):
         raise ExactnessError(
             f"intersection orders sum to {sum(inter)}, not the group order {group_order(n)}"
         )
-    return FusionMap(
-        n=n,
-        images=tuple(images),
-        fibers=tuple(tuple(f) for f in fibers),
-        intersection_orders=tuple(inter),
-    )
+    return FusionMap(images=tuple(images), intersection_orders=tuple(inter))
 
 
 def intersection_orders(n: int) -> tuple[int, ...]:
@@ -127,9 +92,9 @@ def modify_table(table: CharacterTable, n: int) -> CharacterTable:
     sym_cols = sym_classes(2 * n)
     if table.col_labels != tuple(ct for ct, _ in sym_cols):
         raise ValueError("table columns must be exactly the ambient classes")
-    col_index = {ct.label: c for c, (ct, _) in enumerate(sym_cols)}
+    col_index = {ct: c for c, (ct, _) in enumerate(sym_cols)}
     classes = hob_classes(n)
-    picks = [col_index[fuse_class(alpha, n).label] for alpha, _ in classes]
+    picks = [col_index[fuse_class(alpha, n)] for alpha, _ in classes]
     return CharacterTable(
         row_labels=table.row_labels,
         col_labels=tuple(alpha for alpha, _ in classes),

@@ -165,9 +165,9 @@ def hob_classes(n: int) -> tuple[tuple[AlphaSystem, int], ...]:
 
 def hob_induced_char(subgroup: SignedSubgroupLabel, alpha: AlphaSystem) -> int:
     """Value at class ``alpha`` of the character induced from the identity
-    of the canonical subgroup: 2**(number of flag-1 parts) times the sum of
-    per-length multinomial products over admissible signed distributions
-    (flag-1 parts only accept an even number of negative cycles)."""
+    of the canonical subgroup: 2**(number of flag-1 parts) times the number
+    of ways to place the labelled cycles so that every part is filled
+    exactly and every flag-1 part holds an even number of negative cycles."""
     if subgroup.weight != alpha.weight:
         raise ValueError(
             f"weight mismatch: subgroup {subgroup.label!r} has weight "

@@ -10,8 +10,9 @@ still brute force over every element; it only avoids repeating work: each
 conjugate is built once, in one pass, each class is closed by conjugating
 its members by the n generators rather than by every group element, and
 each class keeps the keys of its members, which every subgroup's
-fixed-coset count then reads.  Rank is capped at 6 (2**6 * 6! = 46080
-elements); the coset and restriction brute force stop at rank 4.
+fixed-coset count then reads.  Rank is capped at ``MAX_RANK`` (2**6 * 6! =
+46080 elements); the coset and restriction brute force stop at
+``COSET_MAX_RANK``.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from hobchar.combinatorics import Partition
 from hobchar.hyperoct import AlphaSystem, SignedSubgroupLabel
 from hobchar.reduction import BranchingMatrix
-from hobchar.symmetric import CycleType
 from hobchar.tables import ExactnessError, exact_div
 
 MAX_RANK = 6
+COSET_MAX_RANK = 4  # fixed-coset counts and restriction by summation
 
 
 @dataclass(frozen=True)
@@ -160,11 +162,11 @@ def to_ambient_permutation(g: SignedPermutation, n: int) -> tuple[int, ...]:
     return tuple(images)
 
 
-def ambient_cycle_type(g: SignedPermutation, n: int) -> CycleType:
+def ambient_cycle_type(g: SignedPermutation, n: int) -> Partition:
     """Cycle type of the ambient image of ``g``; independent cycle count."""
     images = to_ambient_permutation(g, n)
     seen = [False] * (2 * n)
-    exps = [0] * (2 * n)
+    lengths = []
     for start in range(2 * n):
         if seen[start]:
             continue
@@ -174,8 +176,8 @@ def ambient_cycle_type(g: SignedPermutation, n: int) -> CycleType:
             seen[a] = True
             length += 1
             a = images[a]
-        exps[length - 1] += 1
-    return CycleType(tuple(exps))
+        lengths.append(length)
+    return Partition(tuple(sorted(lengths, reverse=True)))
 
 
 @dataclass(frozen=True)
@@ -183,7 +185,7 @@ class OracleClass:
     alpha: AlphaSystem
     size: int
     representative: SignedPermutation
-    ambient: CycleType
+    ambient: Partition
     members: frozenset = field(repr=False)  # keys of every element of the class
 
 
@@ -304,7 +306,7 @@ def oracle_induced_char(n: int, label: SignedSubgroupLabel) -> tuple[int, ...]:
     the group, x^-1 g x takes each member of the class of g exactly
     |G| / |class| times, so the count of such x is |G| / |class| times the
     number of class members that lie in H."""
-    _check_rank(n, cap=4)
+    _check_rank(n, cap=COSET_MAX_RANK)
     subgroup = {g.key() for g in subgroup_elements(n, label)}
     order = len(subgroup)
     group_order = len(enumerate_group(n))
@@ -329,19 +331,19 @@ def oracle_restriction(n: int) -> BranchingMatrix:
     are evaluated element by element through the explicit embedding, and
     the inner products run over all 2**n n! elements rather than classes.
     """
-    _check_rank(n, cap=4)
+    _check_rank(n, cap=COSET_MAX_RANK)
     from hobchar.hyperoct import hob_irreducible_table
     from hobchar.symmetric import sym_irreducible_table
 
     x, _ = sym_irreducible_table(2 * n)
     y, _ = hob_irreducible_table(n)
-    x_col = {ct.label: c for c, ct in enumerate(x.col_labels)}
+    x_col = {ct: c for c, ct in enumerate(x.col_labels)}
     y_col = {alpha.label: c for c, alpha in enumerate(y.col_labels)}
     elements = enumerate_group(n)
     order = len(elements)
     # per element: ambient class column and subgroup class column
     cols = [
-        (x_col[ambient_cycle_type(g, n).label], y_col[g.alpha_system().label])
+        (x_col[ambient_cycle_type(g, n)], y_col[g.alpha_system().label])
         for g in elements
     ]
     entries = []
@@ -367,8 +369,7 @@ def oracle_agreement(n: int) -> "CheckReport":
     count and sizes, fusion images, every induced-character value, and the
     irreducible branching matrix.
 
-    At ranks 5 and 6 only the class-level comparisons run (coset and
-    restriction brute force stay capped at rank 4)."""
+    Above ``COSET_MAX_RANK`` only the class-level comparisons run."""
     from hobchar.embedding import fuse_class
     from hobchar.hyperoct import hob_classes, hob_induced_table
     from hobchar.reduction import reduce_irreducible
@@ -397,13 +398,12 @@ def oracle_agreement(n: int) -> "CheckReport":
             return mismatch("class-missing", alpha.label, order, 0)
         if cls.size != order:
             return mismatch("class-size", alpha.label, order, cls.size)
-        if fuse_class(alpha, n).label != cls.ambient.label:
-            return mismatch(
-                "fusion-image", alpha.label, fuse_class(alpha, n).label, cls.ambient.label
-            )
+        image = fuse_class(alpha, n)
+        if image != cls.ambient:
+            return mismatch("fusion-image", alpha.label, image.label, cls.ambient.label)
 
     note = None
-    if n <= 4:
+    if n <= COSET_MAX_RANK:
         table = hob_induced_table(n)
         col_of = {alpha.label: c for c, (alpha, _) in enumerate(classes)}
         for i, label in enumerate(table.row_labels):

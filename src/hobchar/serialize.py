@@ -71,20 +71,6 @@ class TableDocument:
         ):
             raise ValueError("class orders do not match column labels")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "group": self.group,
-            "n": self.n,
-            "kind": self.kind,
-            "row_labels": list(self.row_labels),
-            "col_labels": list(self.col_labels),
-            "col_class_orders": (
-                list(self.col_class_orders) if self.col_class_orders is not None else None
-            ),
-            "entries": [list(r) for r in self.entries],
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "TableDocument":
         if not isinstance(data, dict):
@@ -125,7 +111,19 @@ def document_from(table, group, n, kind) -> TableDocument:
 
 
 def to_json(doc: TableDocument) -> str:
-    return json.dumps(doc.to_json_dict(), indent=2) + "\n"
+    data = {
+        "schema_version": doc.schema_version,
+        "group": doc.group,
+        "n": doc.n,
+        "kind": doc.kind,
+        "row_labels": list(doc.row_labels),
+        "col_labels": list(doc.col_labels),
+        "col_class_orders": (
+            list(doc.col_class_orders) if doc.col_class_orders is not None else None
+        ),
+        "entries": [list(r) for r in doc.entries],
+    }
+    return json.dumps(data, indent=2) + "\n"
 
 
 def from_json(text: str) -> TableDocument:

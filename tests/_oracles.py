@@ -123,9 +123,13 @@ def signed_induced_value_by_expansion(pos, neg, parts, flags):
     once a fill overflows its part.  The value is 2 per flag-1 part times
     the coefficient at fill == parts with even parity on every flag-1 part.
     """
-    parts, k = tuple(parts), len(parts)
     cycles = [(i + 1, 0) for i, e in enumerate(pos) for _ in range(e)]
     cycles += [(i + 1, 1) for i, e in enumerate(neg) for _ in range(e)]
+    return (1 << sum(flags)) * _expansion(cycles, parts, flags)
+
+
+def _expansion(cycles, parts, flags):
+    parts, k = tuple(parts), len(parts)
     poly = {((0,) * k, (0,) * k): 1}
     for length, sign in cycles:
         grown = {}
@@ -138,19 +142,19 @@ def signed_induced_value_by_expansion(pos, neg, parts, flags):
                     )
                     grown[key] = grown.get(key, 0) + coeff
         poly = grown
-    even = [
+    return sum(
         coeff
         for (fill, parity), coeff in poly.items()
         if fill == parts and not any(f and p for f, p in zip(flags, parity))
-    ]
-    return (1 << sum(flags)) * sum(even)
+    )
 
 
-def induced_value_by_expansion(exponents, parts):
-    """Induced S_n character value: the coefficient of x^parts in the power
-    sum product p_mu (Macdonald, I.6), by the same expansion with no
-    negative cycles and no flags."""
-    return signed_induced_value_by_expansion(exponents, (), parts, (0,) * len(parts))
+def induced_value_by_expansion(cycle_type, parts):
+    """Induced S_n character value at the class with cycle lengths
+    ``cycle_type``: the coefficient of x^parts in the power sum product
+    p_mu (Macdonald, I.6), by the same expansion with no negative cycles
+    and no flags."""
+    return _expansion([(length, 0) for length in cycle_type], parts, (0,) * len(parts))
 
 
 def hook_length_degree(parts):

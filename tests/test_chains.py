@@ -121,6 +121,15 @@ class TestChainCompose:
     def test_b3_chain(self):
         assert hob_chain(3).entries == B3_TO_B1
 
+    @pytest.mark.parametrize(
+        "chain, n, message",
+        [(sym_chain, 1, "n must be >= 2"), (sym_chain, 0, "n must be >= 2"),
+         (hob_chain, 0, "n must be >= 1"), (hob_chain, -1, "n must be >= 1")],
+    )
+    def test_chain_below_its_bound(self, chain, n, message):
+        with pytest.raises(ValueError, match=message):
+            chain(n)
+
     @pytest.mark.parametrize("n", range(2, 8))
     def test_chain_degree_preservation(self, n):
         # walking all the way down to the trivial group counts dimensions

@@ -5,7 +5,7 @@ import pytest
 
 from hobchar import oracle, reduction
 from hobchar.cli import run
-from hobchar.symmetric import CycleType
+from hobchar.combinatorics import Partition
 from hobchar.tables import ExactnessError
 from hobchar.serialize import from_json, parse_csv
 
@@ -48,7 +48,7 @@ class TestExitCodes:
         real = oracle.ambient_cycle_type
 
         def uneven(g, n):
-            return CycleType((0, 0, 0, 1)) if g.signs[0] == -1 else real(g, n)
+            return Partition((4,)) if g.signs[0] == -1 else real(g, n)
 
         monkeypatch.setattr(oracle, "ambient_cycle_type", uneven)
         oracle.oracle_class_data.cache_clear()

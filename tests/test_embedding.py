@@ -97,24 +97,6 @@ class TestIntersectionOrders:
     def test_fusion_map_directions(self):
         fm = fusion_map(2)
         assert [ct.label for ct in fm.images] == ["1,1,1,1", "2,1,1", "2,2", "2,2", "4"]
-        # ambient class 2,2 collects two subgroup classes
-        idx = [c.label for c, _ in sym_classes(4)].index("2,2")
-        assert len(fm.fibers[idx]) == 2
-
-    def test_fusion_map_json(self):
-        import json
-
-        payload = fusion_map(2).to_json_dict()
-        json.dumps(payload)  # must be serializable as-is
-        assert payload["classes"][0] == {"class": "1+:2", "image": "1,1,1,1"}
-        split = next(c for c in payload["ambient_classes"] if c["class"] == "2,2")
-        assert split == {
-            "class": "2,2",
-            "fiber": ["1-:2", "2+:1"],
-            "intersection_order": 3,
-        }
-        missing = next(c for c in payload["ambient_classes"] if c["class"] == "3,1")
-        assert missing["fiber"] == [] and missing["intersection_order"] == 0
 
     def test_fusion_matches_explicit_action_rank4(self):
         expected = {}

@@ -14,7 +14,6 @@ from hobchar.hyperoct import (
     hob_irreducible_table,
     hob_subgroups,
 )
-from hobchar.symmetric import CycleType
 from hobchar.tables import (
     ExactnessError,
     first_column_orthogonality_failure,
@@ -164,7 +163,7 @@ def test_inexact_orders_raise_exactness_error(monkeypatch):
     monkeypatch.setattr(symmetric, "factorial", off_by_one)
     monkeypatch.setattr(hyperoct, "factorial", off_by_one)
     with pytest.raises(ExactnessError):
-        CycleType((0, 1)).class_order()
+        symmetric.class_order(Partition((2,)))
     with pytest.raises(ExactnessError):
         AlphaSystem((0, 1), (0, 0)).class_order()
     with pytest.raises(ExactnessError):

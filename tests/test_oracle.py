@@ -25,7 +25,6 @@ from hobchar.oracle import (
 )
 from hobchar import oracle
 from hobchar.reduction import reduce_irreducible
-from hobchar.symmetric import CycleType
 from hobchar.tables import ExactnessError
 
 from _oracles import class_data_by_closure, induced_char_by_conjugation
@@ -177,7 +176,7 @@ class TestClassData:
         real = oracle.ambient_cycle_type
 
         def uneven(g, n):
-            return CycleType((0, 0, 0, 1)) if g.signs[0] == -1 else real(g, n)
+            return Partition((4,)) if g.signs[0] == -1 else real(g, n)
 
         monkeypatch.setattr(oracle, "ambient_cycle_type", uneven)
         oracle_class_data.cache_clear()

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from hobchar.combinatorics import Partition, partitions
 from hobchar.symmetric import (
-    CycleType,
+    class_order,
     sym_classes,
     sym_induced_char,
     sym_induced_table,
@@ -28,7 +29,7 @@ S4_X = ((1, 1, 1, 1, 1), (3, 1, -1, 0, -1), (2, 0, 2, -1, 0), (3, -1, -1, 0, 1),
 
 
 def ct(*lengths):
-    return CycleType.from_partition(Partition(tuple(sorted(lengths, reverse=True))))
+    return Partition(tuple(sorted(lengths, reverse=True)))
 
 
 class TestClasses:
@@ -40,7 +41,7 @@ class TestClasses:
     def test_identity_first(self):
         for n in range(1, 8):
             first, order = sym_classes(n)[0]
-            assert first.exponents[0] == n and order == 1
+            assert first == Partition((1,) * n) and order == 1
 
     def test_s6_double_transpositions_brute_force(self):
         # independent count over all 720 permutations
@@ -59,15 +60,11 @@ class TestClasses:
         assert sum(orders) == factorial(n)
         assert all(factorial(n) % o == 0 for o in orders)
 
-    @given(st.integers(min_value=1, max_value=10), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_cycle_type_partition_round_trip(self, n, data):
-        mu = data.draw(st.sampled_from(partitions(n)))
-        c = CycleType.from_partition(mu)
-        assert c.as_partition() == mu
-        assert c.weight == n
-        # trailing zero counts are canonicalized away
-        assert CycleType(c.exponents + (0, 0)) == c
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_class_orders_count_permutations(self, n):
+        # independent count of every cycle type over all n! permutations
+        counts = Counter(cycle_type_of(p) for p in itertools.permutations(range(1, n + 1)))
+        assert {c.parts: class_order(c) for c in partitions(n)} == counts
 
 
 class TestInducedCharacters:
@@ -125,10 +122,9 @@ class TestInducedCharacters:
             for (c, _), expected in zip(sym_classes(n), row):
                 rep = []
                 p = 1
-                for length, count in enumerate(c.exponents, start=1):
-                    for _ in range(count):
-                        rep.extend(list(range(p + 1, p + length)) + [p])
-                        p += length
+                for length in c:
+                    rep.extend(list(range(p + 1, p + length)) + [p])
+                    p += length
                 g = tuple(rep)
                 inv = [0] * n
                 for i, v in enumerate(g):
@@ -156,8 +152,7 @@ class TestIrreducibleTable:
             x, _ = sym_irreducible_table(n)
             sign_row = x.entries[-1]
             for value, (c, _) in zip(sign_row, sym_classes(n)):
-                cycles = sum(c.exponents)
-                assert value == (-1) ** (n - cycles)
+                assert value == (-1) ** (n - len(c))
 
     def test_trivial_character_row(self):
         for n in range(1, 7):
