@@ -56,13 +56,11 @@ def hob_restriction_matrix(n: int) -> BranchingMatrix:
         raise ValueError("n must be >= 2")
     y_big, _ = hob_irreducible_table(n)
     y_small, _ = hob_irreducible_table(n - 1)
-    big_col = {alpha.label: c for c, (alpha, _) in enumerate(hob_classes(n))}
-
-    def lifted(alpha: AlphaSystem) -> str:
-        pos = (alpha.pos[0] + 1,) + alpha.pos[1:]
-        return AlphaSystem(pos, alpha.neg).label
-
-    picks = [big_col[lifted(alpha)] for alpha, _ in hob_classes(n - 1)]
+    big_col = {alpha: c for c, (alpha, _) in enumerate(hob_classes(n))}
+    picks = [
+        big_col[AlphaSystem(Partition(alpha.pos.parts + (1,)), alpha.neg)]
+        for alpha, _ in hob_classes(n - 1)
+    ]
     what = "restriction multiplicity"
     raw = []
     for i in range(y_big.nrows):

@@ -131,14 +131,6 @@ def _count_placements(cycles, parts, flags) -> int:
     return place(0, tuple(states))
 
 
-def _cycles(exponents, negative=0):
-    return [
-        (length, negative)
-        for length in range(len(exponents), 0, -1)
-        for _ in range(exponents[length - 1])
-    ]
-
-
 def induced_value(cycle_type, parts) -> int:
     """Value of the S_n character induced from the trivial character of the
     Young subgroup with ``parts``, at the class with the weakly decreasing
@@ -155,14 +147,16 @@ def induced_value(cycle_type, parts) -> int:
 
 def signed_induced_value(pos, neg, parts, flags) -> int:
     """Value of the rank-N character induced from the identity of the
-    canonical subgroup (``parts``, ``flags``) at the class with ``pos[i]``
-    positive and ``neg[i]`` negative (i+1)-cycles.
+    canonical subgroup (``parts``, ``flags``) at the class whose positive
+    cycles have the lengths ``pos`` and whose negative cycles have the
+    lengths ``neg``.
 
     2 per flag-1 part times the placements of labelled cycles that fill
     every part exactly and put an even number of negative cycles into each
     flag-1 part.  A total-weight mismatch gives 0.
     """
-    cycles = sorted(_cycles(pos) + _cycles(neg, 1), reverse=True)
+    cycles = [(length, 0) for length in pos] + [(length, 1) for length in neg]
+    cycles.sort(reverse=True)
     return (1 << sum(flags)) * _count_placements(cycles, parts, flags)
 
 

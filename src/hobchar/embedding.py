@@ -25,9 +25,7 @@ def fuse_class(alpha: AlphaSystem, n: int) -> Partition:
     i-cycles each, negative i-cycles one 2i-cycle each."""
     if alpha.weight != n:
         raise ValueError(f"class {alpha.label!r} does not have weight {n}")
-    lengths = []
-    for i, (p, q) in enumerate(zip(alpha.pos, alpha.neg), start=1):
-        lengths += [i] * (2 * p) + [2 * i] * q
+    lengths = [*alpha.pos, *alpha.pos, *(2 * i for i in alpha.neg)]
     return Partition(tuple(sorted(lengths, reverse=True)))
 
 

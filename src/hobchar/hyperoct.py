@@ -1,10 +1,10 @@
 """Classes, canonical subgroups, and character tables of the
 signed-permutation (hyperoctahedral) group of rank N, order 2**N N!.
 
-Classes are labeled by their cycle-sign census (how many positive and how
-many negative cycles of each length); canonical subgroups by a partition
-with a 0/1 flag per part.  The subgroup for part size p with flag 0 is the
-full signed-permutation block on p letters; with flag 1 it is the index-2
+A class is labelled by two partitions, the lengths of its positive and of
+its negative cycles; canonical subgroups by a partition with a 0/1 flag
+per part.  The subgroup for part size p with flag 0 is the full
+signed-permutation block on p letters; with flag 1 it is the index-2
 block whose sign product is +1.  A flag-1 part pairs with a positive cycle
 of the same length, which fixes the class column order as the mirror of
 the subgroup row order and makes the transition factor unitriangular.
@@ -12,6 +12,7 @@ the subgroup row order and makes the transition factor unitriangular.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -31,54 +32,39 @@ def group_order(n: int) -> int:
 
 @dataclass(frozen=True)
 class AlphaSystem:
-    """Cycle-sign census: ``pos[i-1]`` positive and ``neg[i-1]`` negative
-    i-cycles (a cycle is negative when its sign product is -1)."""
+    """A class by its cycle lengths: ``pos`` lists the positive and ``neg``
+    the negative cycles (a cycle is negative when its sign product is -1)."""
 
-    pos: tuple[int, ...]
-    neg: tuple[int, ...]
-
-    def __post_init__(self):
-        pos, neg = tuple(self.pos), tuple(self.neg)
-        length = max(len(pos), len(neg), 1)
-        pos += (0,) * (length - len(pos))
-        neg += (0,) * (length - len(neg))
-        while len(pos) > 1 and pos[-1] == 0 and neg[-1] == 0:
-            pos, neg = pos[:-1], neg[:-1]
-        object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "neg", neg)
-        if any(e < 0 for e in pos + neg):
-            raise ValueError("cycle counts must be non-negative")
+    pos: Partition
+    neg: Partition
 
     @property
     def weight(self) -> int:
-        return sum((i + 1) * (p + q) for i, (p, q) in enumerate(zip(self.pos, self.neg)))
+        return self.pos.weight + self.neg.weight
 
     @property
     def label(self) -> str:
-        """Semicolon-joined ``i+:count`` / ``i-:count`` terms, zero counts
-        omitted, e.g. ``"1+:1;1-:1"``."""
-        terms = []
-        for i, (p, q) in enumerate(zip(self.pos, self.neg)):
-            if p:
-                terms.append(f"{i + 1}+:{p}")
-            if q:
-                terms.append(f"{i + 1}-:{q}")
-        return ";".join(terms)
+        """Semicolon-joined ``i+:count`` / ``i-:count`` terms by ascending
+        length, zero counts omitted, e.g. ``"1+:1;1-:1"``."""
+        pos, neg = Counter(self.pos), Counter(self.neg)
+        return ";".join(
+            f"{i}{sign}:{count[i]}"
+            for i in sorted(pos.keys() | neg.keys())
+            for sign, count in (("+", pos), ("-", neg))
+            if count[i]
+        )
 
     def __str__(self):
         return self.label
 
     def class_order(self) -> int:
-        """N! prod_i 2**(a_i (i-1)) / (i**a_i a_i+! a_i-!) with
-        a_i = pos_i + neg_i."""
-        n = self.weight
-        num = factorial(n)
+        """2**N N! / prod_i ((2i)**a_i a_i+! a_i-!), a_i+ and a_i- the
+        numbers of positive and negative i-cycles, a_i their sum."""
+        p, q = Counter(self.pos), Counter(self.neg)
         denom = 1
-        for i, (p, q) in enumerate(zip(self.pos, self.neg)):
-            a = p + q
-            num *= 2 ** (a * i)
-            denom *= (i + 1) ** a * factorial(p) * factorial(q)
-        return exact_div(num, denom, f"class order of {self.label!r}")
+        for i in p.keys() | q.keys():
+            denom *= (2 * i) ** (p[i] + q[i]) * factorial(p[i]) * factorial(q[i])
+        return exact_div(group_order(self.weight), denom, f"class order of {self.label!r}")
 
 
 @dataclass(frozen=True)
@@ -127,15 +113,11 @@ class SignedSubgroupLabel:
     def alpha_system(self) -> AlphaSystem:
         """The paired class: each part becomes one cycle of that length,
         positive when its flag is 1."""
-        length = self.partition[0] if len(self.partition) else 1
-        pos = [0] * length
-        neg = [0] * length
-        for p, f in zip(self.partition, self.flags):
-            if f:
-                pos[p - 1] += 1
-            else:
-                neg[p - 1] += 1
-        return AlphaSystem(tuple(pos), tuple(neg))
+        pairs = tuple(zip(self.partition, self.flags))
+        return AlphaSystem(
+            Partition(tuple(p for p, f in pairs if f)),
+            Partition(tuple(p for p, f in pairs if not f)),
+        )
 
 
 @lru_cache(maxsize=None)
@@ -174,7 +156,7 @@ def hob_induced_char(subgroup: SignedSubgroupLabel, alpha: AlphaSystem) -> int:
             f"{subgroup.weight}, class {alpha.label!r} has weight {alpha.weight}"
         )
     return signed_induced_value(
-        alpha.pos, alpha.neg, subgroup.partition.parts, subgroup.flags
+        alpha.pos.parts, alpha.neg.parts, subgroup.partition.parts, subgroup.flags
     )
 
 
@@ -183,7 +165,7 @@ def hob_induced_table(n: int) -> CharacterTable:
     classes = hob_classes(n)
     rows = tuple(
         tuple(
-            signed_induced_value(a.pos, a.neg, label.partition.parts, label.flags)
+            signed_induced_value(a.pos.parts, a.neg.parts, label.partition.parts, label.flags)
             for a, _ in classes
         )
         for label, _ in hob_subgroups(n)

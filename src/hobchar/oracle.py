@@ -109,19 +109,18 @@ class SignedPermutation:
         return out
 
     def alpha_system(self) -> AlphaSystem:
-        """Cycle-sign census, read off this single element."""
-        n = len(self.perm)
-        pos = [0] * max(n, 1)
-        neg = [0] * max(n, 1)
+        """Lengths of the positive and of the negative cycles, read off
+        this single element."""
+        pos, neg = [], []
         for cyc in self.cycles():
             sign = 1
             for a in cyc:
                 sign *= self.signs[a - 1]
-            if sign == 1:
-                pos[len(cyc) - 1] += 1
-            else:
-                neg[len(cyc) - 1] += 1
-        return AlphaSystem(tuple(pos), tuple(neg))
+            (pos if sign == 1 else neg).append(len(cyc))
+        return AlphaSystem(
+            Partition(tuple(sorted(pos, reverse=True))),
+            Partition(tuple(sorted(neg, reverse=True))),
+        )
 
 
 def _check_rank(n: int, cap: int = MAX_RANK):
@@ -212,7 +211,7 @@ def oracle_class_data(n: int) -> tuple[OracleClass, ...]:
     group, so the orbit is the whole class.  Classes are ordered by first
     occurrence in the element enumeration; the representative is the
     lexicographically minimal element, and the member keys are kept for
-    the fixed-coset counts.  The cycle-sign census and the ambient cycle
+    the fixed-coset counts.  The signed cycle lengths and the ambient cycle
     type are read off every element and must be constant on the class.
     """
     _check_rank(n)
@@ -233,12 +232,12 @@ def oracle_class_data(n: int) -> tuple[OracleClass, ...]:
                     queue.append(c)
         assigned.update(members)
         rep = members[min(members)]
-        alphas = {c.alpha_system().label for c in members.values()}
-        ambients = {ambient_cycle_type(c, n).label for c in members.values()}
+        alphas = {c.alpha_system() for c in members.values()}
+        ambients = {ambient_cycle_type(c, n) for c in members.values()}
         if len(alphas) != 1 or len(ambients) != 1:
             raise ExactnessError(
-                f"class of {rep.key()!r}: cycle-sign census {sorted(alphas)} and "
-                f"ambient cycle type {sorted(ambients)} not constant on the class"
+                f"class of {rep.key()!r}: signed cycles {sorted(map(str, alphas))} and "
+                f"ambient cycle type {sorted(map(str, ambients))} not constant on the class"
             )
         out.append(
             OracleClass(
@@ -338,12 +337,12 @@ def oracle_restriction(n: int) -> BranchingMatrix:
     x, _ = sym_irreducible_table(2 * n)
     y, _ = hob_irreducible_table(n)
     x_col = {ct: c for c, ct in enumerate(x.col_labels)}
-    y_col = {alpha.label: c for c, alpha in enumerate(y.col_labels)}
+    y_col = {alpha: c for c, alpha in enumerate(y.col_labels)}
     elements = enumerate_group(n)
     order = len(elements)
     # per element: ambient class column and subgroup class column
     cols = [
-        (x_col[ambient_cycle_type(g, n)], y_col[g.alpha_system().label])
+        (x_col[ambient_cycle_type(g, n)], y_col[g.alpha_system()])
         for g in elements
     ]
     entries = []
@@ -389,11 +388,11 @@ def oracle_agreement(n: int) -> "CheckReport":
         )
 
     classes = hob_classes(n)
-    by_alpha = {cls.alpha.label: cls for cls in oracle_class_data(n)}
+    by_alpha = {cls.alpha: cls for cls in oracle_class_data(n)}
     if len(by_alpha) != len(classes):
         return mismatch("class-count", "-", len(classes), len(by_alpha))
     for alpha, order in classes:
-        cls = by_alpha.get(alpha.label)
+        cls = by_alpha.get(alpha)
         if cls is None:
             return mismatch("class-missing", alpha.label, order, 0)
         if cls.size != order:
@@ -405,11 +404,11 @@ def oracle_agreement(n: int) -> "CheckReport":
     note = None
     if n <= COSET_MAX_RANK:
         table = hob_induced_table(n)
-        col_of = {alpha.label: c for c, (alpha, _) in enumerate(classes)}
+        col_of = {alpha: c for c, (alpha, _) in enumerate(classes)}
         for i, label in enumerate(table.row_labels):
             got = oracle_induced_char(n, label)
             for cls, value in zip(oracle_class_data(n), got):
-                expected = table.row(i)[col_of[cls.alpha.label]]
+                expected = table.row(i)[col_of[cls.alpha]]
                 if value != expected:
                     return mismatch(label.label, cls.alpha.label, expected, value)
 

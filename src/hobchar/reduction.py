@@ -86,8 +86,8 @@ def reduce_induced(n: int) -> BranchingMatrix:
     # Ind_H^G 1 vanishes on every class that misses H.  Row H paired with
     # the class of H.alpha_system() is therefore zero below that pivot, and
     # R I = phi' is a substitution that checks this vanishing as it goes.
-    col_of = {alpha.label: c for c, alpha in enumerate(table.col_labels)}
-    pivots = [col_of[label.alpha_system().label] for label in table.row_labels]
+    col_of = {alpha: c for c, alpha in enumerate(table.col_labels)}
+    pivots = [col_of[label.alpha_system()] for label in table.row_labels]
     solution = triangular_solve(table.entries, pivots, phi_mod.entries)
     return BranchingMatrix(phi_mod.row_labels, table.row_labels, solution)
 

@@ -51,10 +51,10 @@ class TableDocument:
         object.__setattr__(self, "row_labels", tuple(str(v) for v in self.row_labels))
         object.__setattr__(self, "col_labels", tuple(str(v) for v in self.col_labels))
         if self.col_class_orders is not None:
-            object.__setattr__(
-                self, "col_class_orders", tuple(int(v) for v in self.col_class_orders)
-            )
+            object.__setattr__(self, "col_class_orders", tuple(self.col_class_orders))
         object.__setattr__(self, "entries", tuple(tuple(r) for r in self.entries))
+        if type(self.n) is not int:
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.group not in GROUPS:
             raise ValueError(f"unknown group tag {self.group!r}")
         if self.kind not in KINDS:
@@ -64,12 +64,13 @@ class TableDocument:
         for row in self.entries:
             if len(row) != len(self.col_labels):
                 raise ValueError("entry columns do not match column labels")
-            if any(not isinstance(v, int) for v in row):
+            if any(type(v) is not int for v in row):
                 raise ValueError("entries must be integers")
-        if self.col_class_orders is not None and len(self.col_class_orders) != len(
-            self.col_labels
-        ):
-            raise ValueError("class orders do not match column labels")
+        if self.col_class_orders is not None:
+            if len(self.col_class_orders) != len(self.col_labels):
+                raise ValueError("class orders do not match column labels")
+            if any(type(v) is not int for v in self.col_class_orders):
+                raise ValueError("class orders must be integers")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TableDocument":
@@ -80,16 +81,12 @@ class TableDocument:
         try:
             return cls(
                 group=data["group"],
-                n=int(data["n"]),
+                n=data["n"],
                 kind=data["kind"],
-                row_labels=tuple(data["row_labels"]),
-                col_labels=tuple(data["col_labels"]),
-                col_class_orders=(
-                    tuple(data["col_class_orders"])
-                    if data["col_class_orders"] is not None
-                    else None
-                ),
-                entries=tuple(tuple(int(v) for v in row) for row in data["entries"]),
+                row_labels=data["row_labels"],
+                col_labels=data["col_labels"],
+                col_class_orders=data["col_class_orders"],
+                entries=data["entries"],
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed document: {exc}") from exc
@@ -218,16 +215,11 @@ class TableCache:
     def lookup(self, group: str, n: int, kind: str) -> TableDocument | None:
         path = self.path(group, n, kind)
         try:
-            text = path.read_text()
+            doc = from_json(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             return None
-        except OSError as exc:
-            warnings.warn(f"cache read failed for {path}: {exc}", CacheWarning)
-            return None
-        try:
-            doc = from_json(text)
-        except (ValueError, json.JSONDecodeError) as exc:
-            warnings.warn(f"ignoring corrupt cache file {path}: {exc}", CacheWarning)
+        except (OSError, ValueError) as exc:
+            warnings.warn(f"ignoring cache file {path}: {exc}", CacheWarning)
             return None
         if (doc.group, doc.n, doc.kind) != (group, n, kind):
             warnings.warn(

@@ -117,14 +117,14 @@ def young_coset_character(parts, images):
 def signed_induced_value_by_expansion(pos, neg, parts, flags):
     """Induced rank-N character value read off a polynomial.
 
-    Expand the product, over the cycles of the class (length L, s = 1 for
-    a negative cycle), of sum_j x_j^L y_j^s, keeping for every part j its
+    Expand the product, over the cycles of the class (positive lengths
+    ``pos``, negative lengths ``neg``; length L, s = 1 for a negative
+    cycle), of sum_j x_j^L y_j^s, keeping for every part j its
     x-degree (fill) and its y-degree mod 2 (parity), and dropping a term
     once a fill overflows its part.  The value is 2 per flag-1 part times
     the coefficient at fill == parts with even parity on every flag-1 part.
     """
-    cycles = [(i + 1, 0) for i, e in enumerate(pos) for _ in range(e)]
-    cycles += [(i + 1, 1) for i, e in enumerate(neg) for _ in range(e)]
+    cycles = [(length, 0) for length in pos] + [(length, 1) for length in neg]
     return (1 << sum(flags)) * _expansion(cycles, parts, flags)
 
 

@@ -7,7 +7,7 @@ from hobchar import oracle, reduction
 from hobchar.cli import run
 from hobchar.combinatorics import Partition
 from hobchar.tables import ExactnessError
-from hobchar.serialize import from_json, parse_csv
+from hobchar.serialize import CacheWarning, from_json, parse_csv
 
 from test_symmetric import S4_X
 
@@ -276,6 +276,30 @@ class TestCacheIntegration:
         assert again == first
         # recomputed result was re-stored intact
         assert from_json(path.read_text()).entries[0] == (1, 1, 1, 1, 1)
+
+    @pytest.mark.parametrize("corruption", ["non-int numbers", "not utf-8"])
+    def test_corrupt_cache_gives_the_right_table(self, capsys, tmp_path, corruption):
+        args = (
+            "table", "--group", "sym", "--n", "3", "--kind", "irreducible",
+            "--format", "csv", "--cache-dir", str(tmp_path),
+        )
+        code, first, _ = invoke(capsys, *args)
+        assert code == 0
+        path = tmp_path / "sym-3-irreducible.json"
+        if corruption == "not utf-8":
+            path.write_bytes(b"\xff\xfe")
+        else:
+            data = json.loads(path.read_text())
+            data["entries"][0][0] = 2.9
+            data["entries"][1][1] = "7"
+            data["entries"][2][2] = False
+            data["col_class_orders"][1] = 5.5
+            path.write_text(json.dumps(data))
+        with pytest.warns(CacheWarning) as caught:
+            code, again, _ = invoke(capsys, *args)
+        assert code == 0
+        assert again == first
+        assert len(caught) == 1
 
     def test_env_var_supplies_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("HOBCHAR_CACHE_DIR", str(tmp_path))

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from hobchar import embedding
-from hobchar.combinatorics import even_partition_count, partitions
+from hobchar.combinatorics import Partition, even_partition_count, partitions
 from hobchar.embedding import (
     fuse_class,
     fusion_map,
@@ -45,13 +45,13 @@ def double_factorial(m):
 
 class TestFusion:
     def test_identity(self):
-        assert fuse_class(AlphaSystem((2,), (0,)), 2).label == "1,1,1,1"
+        assert fuse_class(AlphaSystem(Partition((1, 1)), Partition(())), 2).label == "1,1,1,1"
 
     def test_single_flip(self):
-        assert fuse_class(AlphaSystem((1,), (1,)), 2).label == "2,1,1"
+        assert fuse_class(AlphaSystem(Partition((1,)), Partition((1,))), 2).label == "2,1,1"
 
     def test_negative_two_cycle(self):
-        assert fuse_class(AlphaSystem((0, 0), (0, 1)), 2).label == "4"
+        assert fuse_class(AlphaSystem(Partition(()), Partition((2,))), 2).label == "4"
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_matches_explicit_action(self, n):

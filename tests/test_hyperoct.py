@@ -47,11 +47,11 @@ class TestClasses:
     def test_identity_first(self):
         for n in range(1, 7):
             alpha, order = hob_classes(n)[0]
-            assert alpha.pos[0] == n and order == 1
+            assert alpha == AlphaSystem(Partition((1,) * n), Partition(())) and order == 1
 
     def test_central_flip_class(self):
         # all signs flipped: a single central element
-        alpha = AlphaSystem((0,), (3,))
+        alpha = AlphaSystem(Partition(()), Partition((1, 1, 1)))
         assert alpha.class_order() == 1
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -63,8 +63,8 @@ class TestClasses:
         assert len(hob_classes(n)) == len(hob_subgroups(n))
 
     def test_alpha_label_grammar(self):
-        assert AlphaSystem((1,), (1,)).label == "1+:1;1-:1"
-        assert AlphaSystem((2,), (0,)).label == "1+:2"
+        assert AlphaSystem(Partition((1,)), Partition((1,))).label == "1+:1;1-:1"
+        assert AlphaSystem(Partition((1, 1)), Partition(())).label == "1+:2"
 
 
 class TestSubgroups:
@@ -88,11 +88,11 @@ class TestSubgroups:
 
 class TestInducedTable:
     def test_flagged_part_rejects_single_flip(self):
-        value = hob_induced_char(sub((2,), (1,)), AlphaSystem((1,), (1,)))
+        value = hob_induced_char(sub((2,), (1,)), AlphaSystem(Partition((1,)), Partition((1,))))
         assert value == 0
 
     def test_positive_two_cycle_misses_split_parts(self):
-        value = hob_induced_char(sub((1, 1), (0, 1)), AlphaSystem((0, 1), (0, 0)))
+        value = hob_induced_char(sub((1, 1), (0, 1)), AlphaSystem(Partition((2,)), Partition(())))
         assert value == 0
 
     def test_identity_gives_index(self):
@@ -103,7 +103,7 @@ class TestInducedTable:
 
     def test_weight_mismatch(self):
         with pytest.raises(ValueError):
-            hob_induced_char(sub((2,), (0,)), AlphaSystem((1,), (0,)))
+            hob_induced_char(sub((2,), (0,)), AlphaSystem(Partition((1,)), Partition(())))
 
     def test_rank2_table(self):
         assert hob_induced_table(2).entries == B2_I
@@ -165,6 +165,6 @@ def test_inexact_orders_raise_exactness_error(monkeypatch):
     with pytest.raises(ExactnessError):
         symmetric.class_order(Partition((2,)))
     with pytest.raises(ExactnessError):
-        AlphaSystem((0, 1), (0, 0)).class_order()
+        AlphaSystem(Partition((2,)), Partition(())).class_order()
     with pytest.raises(ExactnessError):
         sub((1, 1), (0, 0)).index()

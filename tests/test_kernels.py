@@ -22,13 +22,11 @@ from _oracles import induced_value_by_expansion, signed_induced_value_by_expansi
 
 
 def signed_class(mu, negative):
-    """(pos, neg) exponent vectors of the class whose cycles are the parts
-    of ``mu``, the i-th negative when ``negative[i]`` is 1."""
-    pos = [0] * mu[0]
-    neg = [0] * mu[0]
-    for p, s in zip(mu, negative):
-        (neg if s else pos)[p - 1] += 1
-    return tuple(pos), tuple(neg)
+    """(pos, neg) cycle lengths of the class whose cycles are the parts of
+    ``mu``, the i-th negative when ``negative[i]`` is 1."""
+    pos = tuple(p for p, s in zip(mu, negative) if not s)
+    neg = tuple(p for p, s in zip(mu, negative) if s)
+    return pos, neg
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -77,8 +75,10 @@ def test_weight_mismatch_is_zero():
     assert induced_value((1,), (2,)) == 0
     # one 2-cycle cannot fill two parts of size 1
     assert induced_value((2,), (1, 1)) == 0
-    assert signed_induced_value((1,), (0,), (2,), (0,)) == 0
-    assert signed_induced_value((0,), (0, 1), (3,), (1,)) == 0
+    assert signed_induced_value((1,), (), (2,), (0,)) == 0
+    assert signed_induced_value((), (2,), (3,), (1,)) == 0
+    # one negative 2-cycle cannot fill two parts of size 1
+    assert signed_induced_value((), (2,), (1, 1), (0, 0)) == 0
 
 
 def test_odd_parity_in_flagged_part_is_zero():
@@ -114,8 +114,8 @@ def test_signed_identity_column_is_index_past_int64():
     for lam, flags in labels:
         subgroup = prod(2 ** (p - f) * factorial(p) for p, f in zip(lam, flags))
         index = 2**RANK * factorial(RANK) // subgroup
-        assert signed_induced_value((RANK,), (), lam.parts, flags) == index
-    assert signed_induced_value((RANK,), (), (1,) * RANK, (1,) * RANK) > 2**63
+        assert signed_induced_value((1,) * RANK, (), lam.parts, flags) == index
+    assert signed_induced_value((1,) * RANK, (), (1,) * RANK, (1,) * RANK) > 2**63
 
 
 def test_whole_group_row_is_ones():

@@ -219,7 +219,7 @@ class TestInducedCharacters:
         for n in (2, 3):
             data = oracle_class_data(n)
             identity_pos = next(
-                i for i, c in enumerate(data) if c.size == 1 and c.alpha.pos[0] == n
+                i for i, c in enumerate(data) if c.size == 1 and c.alpha.pos == Partition((1,) * n)
             )
             for label, order in hob_subgroups(n):
                 values = oracle_induced_char(n, label)

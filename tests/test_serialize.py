@@ -1,3 +1,4 @@
+import json
 import re
 import warnings
 
@@ -57,6 +58,21 @@ class TestDocuments:
             TableDocument("sym", 2, "weird", ("a",), ("b",), (1,), ((1,),))
         with pytest.raises(ValueError):
             TableDocument("sym", 2, "induced", ("a",), ("b",), (1,), ((1, 2),))
+
+    @pytest.mark.parametrize(
+        "n, orders, entries",
+        [
+            (2.0, (1,), ((1,),)),
+            ("2", (1,), ((1,),)),
+            (True, (1,), ((1,),)),
+            (2, (1.0,), ((1,),)),
+            (2, (True,), ((1,),)),
+            (2, (1,), ((False,),)),
+        ],
+    )
+    def test_non_int_numbers_are_rejected(self, n, orders, entries):
+        with pytest.raises(ValueError):
+            TableDocument("sym", n, "induced", ("a",), ("b",), orders, entries)
 
     @pytest.mark.parametrize("doc", sample_documents(), ids=lambda d: f"{d.group}-{d.n}-{d.kind}")
     def test_json_round_trip(self, doc):
@@ -127,6 +143,44 @@ class TestCache:
         path.write_text(path.read_text()[: len(path.read_text()) // 2])
         with pytest.warns(CacheWarning):
             assert cache.lookup("sym", 4, "induced") is None
+
+    @pytest.mark.parametrize(
+        "where, bad",
+        [
+            (("n",), 4.0),
+            (("n",), "4"),
+            (("entries", 0, 0), 2.9),
+            (("entries", 1, 1), "7"),
+            (("entries", 2, 2), False),
+            (("col_class_orders", 1), 5.5),
+            (("col_class_orders", 1), "6"),
+        ],
+    )
+    def test_non_int_number_is_a_miss(self, tmp_path, where, bad):
+        # int() used to truncate or convert these, so a corrupt file was
+        # served as a wrong table
+        cache = TableCache(tmp_path)
+        cache.store(document_from(sym_induced_table(4), "sym", 4, "induced"))
+        path = cache.path("sym", 4, "induced")
+        data = json.loads(path.read_text())
+        *keys, last = where
+        target = data
+        for key in keys:
+            target = target[key]
+        target[last] = bad
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cache.lookup("sym", 4, "induced") is None
+        assert [w.category for w in caught] == [CacheWarning]
+
+    def test_undecodable_file_is_a_miss(self, tmp_path):
+        cache = TableCache(tmp_path)
+        cache.path("sym", 4, "induced").write_bytes(b"\xff\xfe")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cache.lookup("sym", 4, "induced") is None
+        assert [w.category for w in caught] == [CacheWarning]
 
     def test_wrong_key_is_a_miss(self, tmp_path):
         cache = TableCache(tmp_path)
