@@ -17,7 +17,6 @@ from hobchar.chains import (
 )
 from hobchar.combinatorics import (
     Partition,
-    even_partition_count,
     partitions,
     sign_flag_vectors,
 )
@@ -34,7 +33,6 @@ from hobchar.hyperoct import (
     AlphaSystem,
     SignedSubgroupLabel,
     hob_classes,
-    hob_induced_char,
     hob_induced_table,
     hob_irreducible_table,
     hob_subgroups,
@@ -48,7 +46,6 @@ from hobchar.reduction import (
 from hobchar.reports import CheckReport
 from hobchar.symmetric import (
     sym_classes,
-    sym_induced_char,
     sym_induced_table,
     sym_irreducible_table,
 )

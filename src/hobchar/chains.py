@@ -14,8 +14,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from hobchar.combinatorics import Partition, partitions
-from hobchar.hyperoct import AlphaSystem, hob_classes, hob_irreducible_table
-from hobchar.reduction import BranchingMatrix, _checked_branching, reduce_irreducible
+from hobchar.embedding import recolumn
+from hobchar.hyperoct import AlphaSystem, hob_irreducible_table
+from hobchar.reduction import BranchingMatrix, reduce_irreducible, restriction_matrix
 from hobchar.reports import CheckReport, compare_matrices
 from hobchar.tables import mat_mul
 
@@ -49,26 +50,15 @@ def hob_restriction_matrix(n: int) -> BranchingMatrix:
 
     The smaller group embeds by fixing the n-th coordinate positively, so
     a class of rank n-1 fuses into the rank-n class with one extra
-    positive 1-cycle.  Entries are weighted inner products of the fused
-    restrictions against the smaller group's orthonormal rows.
+    positive 1-cycle; the re-columned table goes through the same
+    restriction routine as the irreducible branching matrix.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     y_big, _ = hob_irreducible_table(n)
     y_small, _ = hob_irreducible_table(n - 1)
-    big_col = {alpha: c for c, (alpha, _) in enumerate(hob_classes(n))}
-    picks = [
-        big_col[AlphaSystem(Partition(alpha.pos.parts + (1,)), alpha.neg)]
-        for alpha, _ in hob_classes(n - 1)
-    ]
-    what = "restriction multiplicity"
-    raw = []
-    for i in range(y_big.nrows):
-        restricted = [y_big.row(i)[c] for c in picks]
-        raw.append(
-            [y_small.inner(restricted, y_small.row(k), what) for k in range(y_small.nrows)]
-        )
-    return _checked_branching(y_big.row_labels, y_small.row_labels, raw, what)
+    images = [AlphaSystem(Partition(a.pos.parts + (1,)), a.neg) for a in y_small.col_labels]
+    return restriction_matrix(recolumn(y_big, images, n - 1), y_small)
 
 
 def chain_compose(matrices) -> BranchingMatrix:

@@ -20,7 +20,7 @@ import sys
 import warnings
 
 from hobchar import chains, embedding, hyperoct, oracle, reduction, symmetric
-from hobchar.reports import CheckReport
+from hobchar.reports import CheckReport, mismatch
 from hobchar.serialize import (
     CACHE_ENV_VAR,
     CacheWarning,
@@ -150,7 +150,17 @@ def cmd_classes(args) -> int:
 
 
 def _compute_table_document(group, n, kind):
-    if kind.startswith("modified-"):
+    if kind == "fchar":
+        classes = symmetric.sym_classes(n)
+        orders = tuple(order for _, order in classes)
+        table = CharacterTable(
+            row_labels=("F",),
+            col_labels=tuple(ct for ct, _ in classes),
+            col_class_orders=orders,
+            entries=(embedding.permutation_character_F(n // 2),),
+            group_order=sum(orders),
+        )
+    elif kind.startswith("modified-"):
         if group != "sym":
             raise ValueError(f"{kind!r} applies only to --group sym")
         if n % 2:
@@ -171,17 +181,23 @@ def _compute_table_document(group, n, kind):
     return document_from(table, group, n, kind)
 
 
-def cmd_table(args) -> int:
-    cap = SYM_DEFAULT_CAP if args.group == "sym" else HOB_DEFAULT_CAP
-    _check_cap(args.n, cap, "n", args.allow_slow)
+def _write_table(args, group, n, kind) -> int:
+    """Render the table document, from the cache when it holds a valid
+    one, else computed and then stored."""
     cache = _cache_from(args)
-    doc = cache.lookup(args.group, args.n, args.kind) if cache else None
+    doc = cache.lookup(group, n, kind) if cache else None
     if doc is None:
-        doc = _compute_table_document(args.group, args.n, args.kind)
+        doc = _compute_table_document(group, n, kind)
         if cache:
             cache.store(doc)
     sys.stdout.write(render(doc, args.format))
     return 0
+
+
+def cmd_table(args) -> int:
+    cap = SYM_DEFAULT_CAP if args.group == "sym" else HOB_DEFAULT_CAP
+    _check_cap(args.n, cap, "n", args.allow_slow)
+    return _write_table(args, args.group, args.n, args.kind)
 
 
 def cmd_branch(args) -> int:
@@ -197,23 +213,7 @@ def cmd_branch(args) -> int:
 
 def cmd_fchar(args) -> int:
     _check_cap(args.n, HOB_DEFAULT_CAP, "n", args.allow_slow)
-    cache = _cache_from(args)
-    doc = cache.lookup("sym", 2 * args.n, "fchar") if cache else None
-    if doc is None:
-        classes = symmetric.sym_classes(2 * args.n)
-        orders = tuple(order for _, order in classes)
-        fchar = CharacterTable(
-            row_labels=("F",),
-            col_labels=tuple(ct for ct, _ in classes),
-            col_class_orders=orders,
-            entries=(embedding.permutation_character_F(args.n),),
-            group_order=sum(orders),
-        )
-        doc = document_from(fchar, "sym", 2 * args.n, "fchar")
-        if cache:
-            cache.store(doc)
-    sys.stdout.write(render(doc, args.format))
-    return 0
+    return _write_table(args, "sym", 2 * args.n, "fchar")
 
 
 def _orthogonality_reports(n) -> list[CheckReport]:
@@ -232,17 +232,7 @@ def _orthogonality_reports(n) -> list[CheckReport]:
         else:
             i, j, got = fail
             out.append(
-                CheckReport(
-                    check=check,
-                    n=n,
-                    passed=False,
-                    first_mismatch={
-                        "row_label": f"{kind} {i}",
-                        "col_label": f"{kind} {j}",
-                        "lhs": str(got),
-                        "rhs": "orthogonality value",
-                    },
-                )
+                mismatch(check, n, f"{kind} {i}", f"{kind} {j}", str(got), "orthogonality value")
             )
     return out
 

@@ -159,9 +159,3 @@ def signed_induced_value(pos, neg, parts, flags) -> int:
     cycles.sort(reverse=True)
     return (1 << sum(flags)) * _count_placements(cycles, parts, flags)
 
-
-def even_partition_count(m: int) -> int:
-    """Number of partitions of even ``m >= 2`` with every part even."""
-    if m < 2 or m % 2:
-        raise ValueError(f"m must be an even integer >= 2, got {m}")
-    return sum(1 for p in partitions(m) if all(part % 2 == 0 for part in p))

@@ -72,27 +72,25 @@ def permutation_character_F(n: int) -> tuple[int, ...]:
     an exact integer.  Its identity value is the double factorial
     (2N-1)(2N-3)...1."""
     inter = intersection_orders(n)
-    index = factorial(2 * n) // group_order(n)
+    index = exact_div(factorial(2 * n), group_order(n), "subgroup index")
     return tuple(
         exact_div(index * m, class_order, "coset character value")
         for (_, class_order), m in zip(sym_classes(2 * n), inter)
     )
 
 
-def modify_table(table: CharacterTable, n: int) -> CharacterTable:
-    """Re-column an S_2N table over the subgroup's classes.
+def recolumn(table: CharacterTable, images, n: int) -> CharacterTable:
+    """Re-column ``table`` over the classes of the rank-n group.
 
-    Each subgroup class contributes one column carrying the table's value
-    at its ambient image; ambient classes meeting the subgroup in several
-    classes are split, classes missing it are dropped.  Column class
-    orders become the subgroup's class orders.
+    ``images[k]`` is the column label of ``table`` that subgroup class
+    ``k`` lands on.  Each subgroup class contributes one column carrying
+    the table's value there, so classes of ``table`` meeting the subgroup
+    in several classes are split and classes missing it are dropped.
+    Column class orders become the subgroup's class orders.
     """
-    sym_cols = sym_classes(2 * n)
-    if table.col_labels != tuple(ct for ct, _ in sym_cols):
-        raise ValueError("table columns must be exactly the ambient classes")
-    col_index = {ct: c for c, (ct, _) in enumerate(sym_cols)}
+    col_index = {label: c for c, label in enumerate(table.col_labels)}
+    picks = [col_index[image] for image in images]
     classes = hob_classes(n)
-    picks = [col_index[fuse_class(alpha, n)] for alpha, _ in classes]
     return CharacterTable(
         row_labels=table.row_labels,
         col_labels=tuple(alpha for alpha, _ in classes),
@@ -100,6 +98,14 @@ def modify_table(table: CharacterTable, n: int) -> CharacterTable:
         entries=tuple(tuple(row[c] for c in picks) for row in table.entries),
         group_order=group_order(n),
     )
+
+
+def modify_table(table: CharacterTable, n: int) -> CharacterTable:
+    """Re-column an S_2N table over the subgroup's classes along the
+    class fusion."""
+    if table.col_labels != tuple(ct for ct, _ in sym_classes(2 * n)):
+        raise ValueError("table columns must be exactly the ambient classes")
+    return recolumn(table, fusion_map(n).images, n)
 
 
 def modified_tables(n: int):

@@ -145,21 +145,6 @@ def hob_classes(n: int) -> tuple[tuple[AlphaSystem, int], ...]:
     return tuple(out)
 
 
-def hob_induced_char(subgroup: SignedSubgroupLabel, alpha: AlphaSystem) -> int:
-    """Value at class ``alpha`` of the character induced from the identity
-    of the canonical subgroup: 2**(number of flag-1 parts) times the number
-    of ways to place the labelled cycles so that every part is filled
-    exactly and every flag-1 part holds an even number of negative cycles."""
-    if subgroup.weight != alpha.weight:
-        raise ValueError(
-            f"weight mismatch: subgroup {subgroup.label!r} has weight "
-            f"{subgroup.weight}, class {alpha.label!r} has weight {alpha.weight}"
-        )
-    return signed_induced_value(
-        alpha.pos.parts, alpha.neg.parts, subgroup.partition.parts, subgroup.flags
-    )
-
-
 @lru_cache(maxsize=None)
 def hob_induced_table(n: int) -> CharacterTable:
     classes = hob_classes(n)

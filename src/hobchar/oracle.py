@@ -372,54 +372,34 @@ def oracle_agreement(n: int) -> "CheckReport":
     from hobchar.embedding import fuse_class
     from hobchar.hyperoct import hob_classes, hob_induced_table
     from hobchar.reduction import reduce_irreducible
-    from hobchar.reports import CheckReport
-
-    def mismatch(row_label, col_label, lhs, rhs):
-        return CheckReport(
-            check="oracle",
-            n=n,
-            passed=False,
-            first_mismatch={
-                "row_label": str(row_label),
-                "col_label": str(col_label),
-                "lhs": lhs,
-                "rhs": rhs,
-            },
-        )
+    from hobchar.reports import CheckReport, compare_matrices, mismatch
 
     classes = hob_classes(n)
     by_alpha = {cls.alpha: cls for cls in oracle_class_data(n)}
     if len(by_alpha) != len(classes):
-        return mismatch("class-count", "-", len(classes), len(by_alpha))
+        return mismatch("oracle", n, "class-count", "-", len(classes), len(by_alpha))
     for alpha, order in classes:
         cls = by_alpha.get(alpha)
         if cls is None:
-            return mismatch("class-missing", alpha.label, order, 0)
+            return mismatch("oracle", n, "class-missing", alpha, order, 0)
         if cls.size != order:
-            return mismatch("class-size", alpha.label, order, cls.size)
+            return mismatch("oracle", n, "class-size", alpha, order, cls.size)
         image = fuse_class(alpha, n)
         if image != cls.ambient:
-            return mismatch("fusion-image", alpha.label, image.label, cls.ambient.label)
+            return mismatch("oracle", n, "fusion-image", alpha, image.label, cls.ambient.label)
 
-    note = None
-    if n <= COSET_MAX_RANK:
-        table = hob_induced_table(n)
-        col_of = {alpha: c for c, (alpha, _) in enumerate(classes)}
-        for i, label in enumerate(table.row_labels):
-            got = oracle_induced_char(n, label)
-            for cls, value in zip(oracle_class_data(n), got):
-                expected = table.row(i)[col_of[cls.alpha]]
-                if value != expected:
-                    return mismatch(label.label, cls.alpha.label, expected, value)
-
-        r1 = reduce_irreducible(n)
-        brute = oracle_restriction(n)
-        for i, row_label in enumerate(r1.row_labels):
-            for k, col_label in enumerate(r1.col_labels):
-                if r1.entries[i][k] != brute.entries[i][k]:
-                    return mismatch(
-                        row_label.label, col_label.label, r1.entries[i][k], brute.entries[i][k]
-                    )
-    else:
+    if n > COSET_MAX_RANK:
         note = "classes, sizes and fusion only at this rank"
-    return CheckReport(check="oracle", n=n, passed=True, note=note)
+        return CheckReport(check="oracle", n=n, passed=True, note=note)
+    table = hob_induced_table(n)
+    col_of = {alpha: c for c, (alpha, _) in enumerate(classes)}
+    for i, label in enumerate(table.row_labels):
+        got = oracle_induced_char(n, label)
+        for cls, value in zip(oracle_class_data(n), got):
+            expected = table.row(i)[col_of[cls.alpha]]
+            if value != expected:
+                return mismatch("oracle", n, label, cls.alpha, expected, value)
+
+    r1 = reduce_irreducible(n)
+    brute = oracle_restriction(n)
+    return compare_matrices("oracle", n, r1.row_labels, r1.col_labels, r1.entries, brute.entries)

@@ -12,7 +12,7 @@ from hobchar.embedding import modified_tables
 from hobchar.hyperoct import hob_induced_table, hob_irreducible_table
 from hobchar.reports import CheckReport, compare_matrices
 from hobchar.symmetric import sym_irreducible_table
-from hobchar.tables import ExactnessError, mat_mul, triangular_solve
+from hobchar.tables import CharacterTable, ExactnessError, mat_mul, triangular_solve
 
 
 @dataclass(frozen=True)
@@ -47,27 +47,29 @@ class BranchingMatrix:
         return (len(self.row_labels), len(self.col_labels))
 
 
-def _checked_branching(row_labels, col_labels, entries, what):
+def restriction_matrix(restricted: CharacterTable, y: CharacterTable) -> BranchingMatrix:
+    """Multiplicities of the irreducibles of ``y`` in each row of
+    ``restricted``, a table already re-columned over the classes of ``y``:
+    weighted inner products against the orthonormal rows of ``y``, each
+    checked integral and non-negative."""
+    if restricted.col_labels != y.col_labels:
+        raise ValueError("restricted table must be re-columned over the classes of y")
+    what = "restriction multiplicity"
+    entries = [[y.inner(row, y_row, what) for y_row in y.entries] for row in restricted.entries]
     for row in entries:
         for v in row:
             if v < 0:
                 raise ExactnessError(f"{what} is negative: {v}")
-    return BranchingMatrix(row_labels, col_labels, entries)
+    return BranchingMatrix(restricted.row_labels, y.row_labels, entries)
 
 
 @lru_cache(maxsize=None)
 def reduce_irreducible(n: int) -> BranchingMatrix:
     """Multiplicities of the subgroup irreducibles in each restricted
-    S_2N irreducible, computed as weighted inner products of the
-    re-columned irreducible table against the orthonormal subgroup rows."""
+    S_2N irreducible."""
     _, x_mod = modified_tables(n)
     y, _ = hob_irreducible_table(n)
-    what = "restriction multiplicity"
-    raw = [
-        [y.inner(x_row, y.row(k), what) for k in range(y.nrows)]
-        for x_row in x_mod.entries
-    ]
-    return _checked_branching(x_mod.row_labels, y.row_labels, raw, what)
+    return restriction_matrix(x_mod, y)
 
 
 @lru_cache(maxsize=None)

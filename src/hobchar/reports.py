@@ -33,21 +33,17 @@ class CheckReport:
         return msg
 
 
+def mismatch(check, n, row_label, col_label, lhs, rhs, note=None) -> CheckReport:
+    """A failed report whose first mismatch sits at (``row_label``,
+    ``col_label``); the labels are written as their ``str``."""
+    first = {"row_label": str(row_label), "col_label": str(col_label), "lhs": lhs, "rhs": rhs}
+    return CheckReport(check=check, n=n, passed=False, first_mismatch=first, note=note)
+
+
 def compare_matrices(check, n, row_labels, col_labels, lhs, rhs, note=None) -> CheckReport:
     """Entrywise comparison; the first differing entry is reported."""
     for i, row_label in enumerate(row_labels):
         for j, col_label in enumerate(col_labels):
             if lhs[i][j] != rhs[i][j]:
-                return CheckReport(
-                    check=check,
-                    n=n,
-                    passed=False,
-                    first_mismatch={
-                        "row_label": str(row_label),
-                        "col_label": str(col_label),
-                        "lhs": lhs[i][j],
-                        "rhs": rhs[i][j],
-                    },
-                    note=note,
-                )
+                return mismatch(check, n, row_label, col_label, lhs[i][j], rhs[i][j], note)
     return CheckReport(check=check, n=n, passed=True, note=note)

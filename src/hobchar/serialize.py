@@ -138,21 +138,6 @@ def to_csv(doc: TableDocument) -> str:
     return buf.getvalue()
 
 
-def parse_csv(text: str):
-    """Inverse of :func:`to_csv` for the label/entry payload: returns
-    (row_labels, col_labels, col_class_orders, entries)."""
-    rows = list(csv.reader(io.StringIO(text)))
-    col_labels = tuple(rows[0][1:])
-    body = rows[1:]
-    orders = None
-    if body and body[0] and body[0][0] == "#order":
-        orders = tuple(int(v) for v in body[0][1:])
-        body = body[1:]
-    row_labels = tuple(r[0] for r in body)
-    entries = tuple(tuple(int(v) for v in r[1:]) for r in body)
-    return row_labels, col_labels, orders, entries
-
-
 def to_latex(doc: TableDocument) -> str:
     """A tabular with row and column labels outside the numeric grid."""
     ncols = len(doc.col_labels)

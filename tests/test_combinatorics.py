@@ -4,12 +4,11 @@ from hypothesis import strategies as st
 
 from hobchar.combinatorics import (
     Partition,
-    even_partition_count,
     partitions,
     sign_flag_vectors,
 )
 
-from _oracles import partition_count
+from _oracles import even_partition_count, partition_count
 
 
 def P(*parts):

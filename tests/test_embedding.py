@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from hobchar import embedding
-from hobchar.combinatorics import Partition, even_partition_count, partitions
+from hobchar.combinatorics import Partition, partitions
 from hobchar.embedding import (
     fuse_class,
     fusion_map,
@@ -17,6 +17,8 @@ from hobchar.hyperoct import AlphaSystem, group_order, hob_classes
 from hobchar.oracle import ambient_cycle_type, enumerate_group
 from hobchar.symmetric import sym_classes, sym_induced_table, sym_irreducible_table
 from hobchar.tables import ExactnessError, mat_mul
+
+from _oracles import even_partition_count
 
 # Frozen reference data for the rank-2 embedding in the degree-4 group.
 B2_XMOD = (

@@ -9,7 +9,6 @@ from hobchar.hyperoct import (
     SignedSubgroupLabel,
     group_order,
     hob_classes,
-    hob_induced_char,
     hob_induced_table,
     hob_irreducible_table,
     hob_subgroups,
@@ -21,7 +20,7 @@ from hobchar.tables import (
     mat_mul,
 )
 
-from _oracles import fraction_det
+from _oracles import fraction_det, hob_induced_char
 
 # Frozen reference data for rank 2.
 B2_I = ((1, 1, 1, 1, 1), (2, 0, 2, 2, 0), (2, 2, 2, 0, 0), (4, 2, 0, 0, 0), (8, 0, 0, 0, 0))

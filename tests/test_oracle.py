@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -294,6 +295,33 @@ class TestAgreement:
         report = oracle_agreement(5)
         assert report.passed, report.line()
         assert report.note == "classes, sizes and fusion only at this rank"
+
+    def test_missing_class_report(self, monkeypatch):
+        real = oracle.oracle_class_data
+        monkeypatch.setattr(oracle, "oracle_class_data", lambda n: real(n)[:-1])
+        report = oracle_agreement(2)
+        assert not report.passed
+        assert report.first_mismatch == {
+            "row_label": "class-count",
+            "col_label": "-",
+            "lhs": 5,
+            "rhs": 4,
+        }
+
+    def test_restriction_mismatch_report(self, monkeypatch):
+        real = oracle_restriction(2)
+        entries = [list(row) for row in real.entries]
+        entries[1][2] += 1
+        bumped = dataclasses.replace(real, entries=entries)
+        monkeypatch.setattr(oracle, "oracle_restriction", lambda n: bumped)
+        report = oracle_agreement(2)
+        assert not report.passed
+        assert report.first_mismatch == {
+            "row_label": "3,1",
+            "col_label": "1-,1-",
+            "lhs": 1,
+            "rhs": 2,
+        }
 
     @pytest.mark.slow
     def test_agreement_rank6_class_level(self):

@@ -168,6 +168,22 @@ class TestInducedStructure:
             reduce_induced(3)
 
 
+def test_negative_restriction_multiplicity_raises(monkeypatch):
+    # a negated ambient table restricts to negative multiplicities
+    def negated(n):
+        phi_mod, x_mod = modified_tables(n)
+        flipped = tuple(tuple(-v for v in row) for row in x_mod.entries)
+        return phi_mod, dataclasses.replace(x_mod, entries=flipped)
+
+    monkeypatch.setattr(reduction, "modified_tables", negated)
+    reduce_irreducible.cache_clear()
+    try:
+        with pytest.raises(ExactnessError, match="restriction multiplicity is negative"):
+            reduce_irreducible(2)
+    finally:
+        reduce_irreducible.cache_clear()
+
+
 class TestConsistency:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_eq8(self, n):

@@ -11,7 +11,6 @@ from hobchar.serialize import (
     TableDocument,
     document_from,
     from_json,
-    parse_csv,
     render,
     to_csv,
     to_json,
@@ -19,6 +18,8 @@ from hobchar.serialize import (
     to_pretty,
 )
 from hobchar.symmetric import sym_induced_table, sym_irreducible_table
+
+from _oracles import parse_csv
 
 
 def sample_documents(max_rank=3):

@@ -39,3 +39,23 @@ def test_invariants_do_not_raise_assertion_error():
         if isinstance(node, ast.Raise) and node.exc is not None and _raises_assertion_error(node)
     ]
     assert found == []
+
+
+def _module_name(path):
+    return "hobchar" if path.stem == "__init__" else f"hobchar.{path.stem}"
+
+
+def test_no_private_names_imported_across_modules():
+    # an underscore name is private to its module; a second module that
+    # needs it should get a public function instead
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "hobchar"
+        and node.module != _module_name(path)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []

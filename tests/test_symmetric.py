@@ -10,7 +10,6 @@ from hobchar.combinatorics import Partition, partitions
 from hobchar.symmetric import (
     class_order,
     sym_classes,
-    sym_induced_char,
     sym_induced_table,
     sym_irreducible_table,
 )
@@ -20,7 +19,7 @@ from hobchar.tables import (
     mat_mul,
 )
 
-from _oracles import cycle_type_of, fraction_det, hook_length_degree
+from _oracles import cycle_type_of, fraction_det, hook_length_degree, sym_induced_char
 
 # Frozen reference data for S4 (degree-4 symmetric group).
 S4_PHI = ((1, 1, 1, 1, 1), (4, 2, 0, 1, 0), (6, 2, 2, 0, 0), (12, 2, 0, 0, 0), (24, 0, 0, 0, 0))
