@@ -62,21 +62,25 @@ def hob_restriction_matrix(n: int) -> BranchingMatrix:
 
 
 def chain_compose(matrices) -> BranchingMatrix:
-    """Exact product of adjacent branching matrices, keeping outer labels."""
+    """Exact product of adjacent branching matrices, keeping outer labels.
+
+    Every adjacent pair of labels is checked first.  The product is then
+    folded from the right: a chain narrows as it goes down, so each step
+    multiplies by a matrix with few columns.
+    """
     matrices = list(matrices)
     if not matrices:
         raise ValueError("need at least one matrix")
-    acc = matrices[0]
-    for nxt in matrices[1:]:
-        if acc.col_labels != nxt.row_labels:
+    for upper, lower in zip(matrices, matrices[1:]):
+        if upper.col_labels != lower.row_labels:
             raise ValueError(
-                f"label mismatch in chain: {[str(l) for l in acc.col_labels]} vs "
-                f"{[str(l) for l in nxt.row_labels]}"
+                f"label mismatch in chain: {[str(l) for l in upper.col_labels]} vs "
+                f"{[str(l) for l in lower.row_labels]}"
             )
-        acc = BranchingMatrix(
-            acc.row_labels, nxt.col_labels, mat_mul(acc.entries, nxt.entries)
-        )
-    return acc
+    entries = matrices[-1].entries
+    for upper in reversed(matrices[:-1]):
+        entries = mat_mul(upper.entries, entries)
+    return BranchingMatrix(matrices[0].row_labels, matrices[-1].col_labels, entries)
 
 
 def _identity(labels) -> BranchingMatrix:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 
 @dataclass(frozen=True, order=True)
@@ -90,72 +90,98 @@ def sign_flag_vectors(partition: Partition) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _count_placements(cycles, parts, flags) -> int:
-    """Ways to put each labelled cycle into a part so that every part is
-    filled exactly and every flag-1 part holds an even number of negative
-    cycles.
+def _place(cycles, memo, i, states):
+    """Placements of ``cycles[i:]`` into parts in the sorted ``states``,
+    memoized in ``memo[i]``; see :func:`_placement_counter`."""
+    if i == len(cycles):
+        return 1
+    known = memo[i].get(states)
+    if known is not None:
+        return known
+    length, negative = cycles[i]
+    total = 0
+    j = 0
+    while j < len(states) and states[j][0] >= length:
+        same = 1
+        while j + same < len(states) and states[j + same] == states[j]:
+            same += 1
+        cap, flag, parity = states[j]
+        cap -= length
+        parity ^= flag & negative
+        if cap or not parity:
+            rest = states[:j] + states[j + 1 :]
+            if cap:
+                rest = tuple(sorted(rest + ((cap, flag, parity),), reverse=True))
+            total += same * _place(cycles, memo, i + 1, rest)
+        j += same
+    memo[i][states] = total
+    return total
+
+
+def _placement_counter(cycles):
+    """One column's counter: ``count(parts, flags)`` is the number of ways
+    to put each labelled cycle into a part so that every part is filled
+    exactly and every flag-1 part holds an even number of negative cycles.
 
     ``cycles`` lists (length, 1 if negative else 0), longest first.  The
     recursion places one cycle at a time; a part's state is (remaining
     capacity, flag, parity of the negative cycles it holds), and a filled
     part leaves the state.  Each subproblem is memoized on (cycle index,
-    sorted states) for this call only, and parts in equal states are
-    counted once, times their number.
+    sorted states) for as long as the counter lives, so every row of the
+    column shares the memo whatever order the rows come in; parts in equal
+    states are counted once, times their number.  The recursion is a
+    module function, not a closure: a recursive closure refers to itself,
+    and that cycle would keep the memo alive until the garbage collector
+    runs instead of freeing it with the counter.
     """
+    cycles = tuple(cycles)
+    weight = sum(length for length, _ in cycles)
+    memo = [{} for _ in cycles]
 
-    @cache
-    def place(i, states):
-        if i == len(cycles):
-            return 1
-        length, negative = cycles[i]
-        total = 0
-        j = 0
-        while j < len(states) and states[j][0] >= length:
-            same = 1
-            while j + same < len(states) and states[j + same] == states[j]:
-                same += 1
-            cap, flag, parity = states[j]
-            cap -= length
-            parity ^= flag & negative
-            if cap or not parity:
-                rest = states[:j] + states[j + 1 :]
-                if cap:
-                    rest = tuple(sorted(rest + ((cap, flag, parity),), reverse=True))
-                total += same * place(i + 1, rest)
-            j += same
-        return total
+    def count(parts, flags):
+        if sum(parts) != weight:
+            return 0
+        states = tuple(sorted(((p, f, 0) for p, f in zip(parts, flags)), reverse=True))
+        return _place(cycles, memo, 0, states)
 
-    if sum(length for length, _ in cycles) != sum(parts):
-        return 0
-    states = sorted(((p, f, 0) for p, f in zip(parts, flags)), reverse=True)
-    return place(0, tuple(states))
+    return count
 
 
-def induced_value(cycle_type, parts) -> int:
-    """Value of the S_n character induced from the trivial character of the
-    Young subgroup with ``parts``, at the class with the weakly decreasing
-    cycle lengths ``cycle_type``.
+def induced_column(cycle_type, rows) -> tuple[int, ...]:
+    """Values of the S_n characters induced from the trivial characters of
+    the Young subgroups with the parts in ``rows``, at the class with the
+    weakly decreasing cycle lengths ``cycle_type``; one counter serves the
+    whole column.
 
-    It counts the ways to put each labelled cycle into a part so that
+    A value counts the ways to put each labelled cycle into a part so that
     every part is filled exactly: the coefficient of x^parts in the
     product of power sums p_mu (Macdonald, I.6).  A total-weight mismatch
     gives 0.
     """
-    cycles = [(length, 0) for length in cycle_type]
-    return _count_placements(cycles, parts, (0,) * len(parts))
+    count = _placement_counter((length, 0) for length in cycle_type)
+    return tuple(count(parts, (0,) * len(parts)) for parts in rows)
+
+
+def induced_value(cycle_type, parts) -> int:
+    """One cell of :func:`induced_column`."""
+    return induced_column(cycle_type, [parts])[0]
+
+
+def signed_induced_column(pos, neg, rows) -> tuple[int, ...]:
+    """Values of the rank-N characters induced from the identities of the
+    canonical subgroups ``rows``, (parts, flags) pairs, at the class whose
+    positive cycles have the lengths ``pos`` and whose negative cycles
+    have the lengths ``neg``; one counter serves the whole column.
+
+    A value is 2 per flag-1 part times the placements of labelled cycles
+    that fill every part exactly and put an even number of negative cycles
+    into each flag-1 part.  A total-weight mismatch gives 0.
+    """
+    cycles = [(length, 0) for length in pos] + [(length, 1) for length in neg]
+    count = _placement_counter(sorted(cycles, reverse=True))
+    return tuple((1 << sum(flags)) * count(parts, flags) for parts, flags in rows)
 
 
 def signed_induced_value(pos, neg, parts, flags) -> int:
-    """Value of the rank-N character induced from the identity of the
-    canonical subgroup (``parts``, ``flags``) at the class whose positive
-    cycles have the lengths ``pos`` and whose negative cycles have the
-    lengths ``neg``.
-
-    2 per flag-1 part times the placements of labelled cycles that fill
-    every part exactly and put an even number of negative cycles into each
-    flag-1 part.  A total-weight mismatch gives 0.
-    """
-    cycles = [(length, 0) for length in pos] + [(length, 1) for length in neg]
-    cycles.sort(reverse=True)
-    return (1 << sum(flags)) * _count_placements(cycles, parts, flags)
-
+    """One cell of :func:`signed_induced_column`."""
+    return signed_induced_column(pos, neg, [(parts, flags)])[0]

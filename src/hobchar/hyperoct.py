@@ -21,7 +21,7 @@ from hobchar.combinatorics import (
     Partition,
     partitions,
     sign_flag_vectors,
-    signed_induced_value,
+    signed_induced_column,
 )
 from hobchar.tables import CharacterTable, exact_div, weighted_gram_schmidt
 
@@ -147,19 +147,16 @@ def hob_classes(n: int) -> tuple[tuple[AlphaSystem, int], ...]:
 
 @lru_cache(maxsize=None)
 def hob_induced_table(n: int) -> CharacterTable:
+    """The induced table: rows over canonical subgroups, columns over
+    classes, computed a column at a time."""
     classes = hob_classes(n)
-    rows = tuple(
-        tuple(
-            signed_induced_value(a.pos.parts, a.neg.parts, label.partition.parts, label.flags)
-            for a, _ in classes
-        )
-        for label, _ in hob_subgroups(n)
-    )
+    subgroups = [(label.partition.parts, label.flags) for label, _ in hob_subgroups(n)]
+    columns = [signed_induced_column(a.pos.parts, a.neg.parts, subgroups) for a, _ in classes]
     return CharacterTable(
         row_labels=tuple(label for label, _ in hob_subgroups(n)),
         col_labels=tuple(a for a, _ in classes),
         col_class_orders=tuple(order for _, order in classes),
-        entries=rows,
+        entries=tuple(zip(*columns)),
         group_order=group_order(n),
     )
 

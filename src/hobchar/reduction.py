@@ -55,7 +55,8 @@ def restriction_matrix(restricted: CharacterTable, y: CharacterTable) -> Branchi
     if restricted.col_labels != y.col_labels:
         raise ValueError("restricted table must be re-columned over the classes of y")
     what = "restriction multiplicity"
-    entries = [[y.inner(row, y_row, what) for y_row in y.entries] for row in restricted.entries]
+    weighted = [y.weigh(y_row) for y_row in y.entries]
+    entries = [[y.inner(row, w, what) for w in weighted] for row in restricted.entries]
     for row in entries:
         for v in row:
             if v < 0:

@@ -13,7 +13,7 @@ from collections import Counter
 from functools import lru_cache
 from math import factorial
 
-from hobchar.combinatorics import Partition, induced_value, partitions
+from hobchar.combinatorics import Partition, induced_column, partitions
 from hobchar.tables import CharacterTable, exact_div, weighted_gram_schmidt
 
 
@@ -39,17 +39,16 @@ def sym_classes(n: int) -> tuple[tuple[Partition, int], ...]:
 
 @lru_cache(maxsize=None)
 def sym_induced_table(n: int) -> CharacterTable:
-    """The induced table: rows over partitions of n, columns over classes."""
+    """The induced table: rows over partitions of n, columns over classes,
+    computed a column at a time."""
     classes = sym_classes(n)
-    rows = tuple(
-        tuple(induced_value(ct.parts, lam.parts) for ct, _ in classes)
-        for lam in partitions(n)
-    )
+    parts = [lam.parts for lam in partitions(n)]
+    columns = [induced_column(ct.parts, parts) for ct, _ in classes]
     return CharacterTable(
         row_labels=partitions(n),
         col_labels=tuple(ct for ct, _ in classes),
         col_class_orders=tuple(order for _, order in classes),
-        entries=rows,
+        entries=tuple(zip(*columns)),
         group_order=factorial(n),
     )
 

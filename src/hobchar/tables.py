@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 
 class ExactnessError(ArithmeticError):
@@ -69,15 +70,21 @@ class CharacterTable:
     def row(self, i):
         return self.entries[i]
 
-    def class_sum(self, u, v):
-        """sum_c |c| u_c v_c: the weighted inner product times the group
-        order, an exact integer."""
-        return sum(o * a * b for o, a, b in zip(self.col_class_orders, u, v))
+    def weigh(self, v):
+        """``v`` times the class orders, entry by entry.  Every class sum
+        takes its second row in this form, so a loop that pairs one row
+        with many weighs it once."""
+        return tuple(map(mul, self.col_class_orders, v))
 
-    def inner(self, u, v, what="inner product"):
-        """Weighted inner product sum_c (|c| / |G|) u_c v_c, which must be
-        an integer."""
-        return exact_div(self.class_sum(u, v), self.group_order, what)
+    def class_sum(self, u, weighted):
+        """sum_c |c| u_c v_c for ``weighted = self.weigh(v)``: the weighted
+        inner product times the group order, an exact integer."""
+        return sum(map(mul, u, weighted))
+
+    def inner(self, u, weighted, what="inner product"):
+        """Weighted inner product sum_c (|c| / |G|) u_c v_c for
+        ``weighted = self.weigh(v)``, which must be an integer."""
+        return exact_div(self.class_sum(u, weighted), self.group_order, what)
 
 
 @dataclass(frozen=True)
@@ -118,24 +125,29 @@ def weighted_gram_schmidt(table: CharacterTable):
     if table.nrows != table.ncols:
         raise ValueError("weighted orthonormalization needs a square table")
     done: list[tuple[int, ...]] = []
+    weighted: list[tuple[int, ...]] = []
     trans: list[tuple[int, ...]] = []
     n = table.nrows
     for i in range(n):
         row = table.row(i)
         coeffs = [
-            table.inner(row, x, f"projection coefficient ({i},{k})")
-            for k, x in enumerate(done)
+            table.inner(row, w, f"projection coefficient ({i},{k})")
+            for k, w in enumerate(weighted)
         ]
         resid = list(row)
         for c, x in zip(coeffs, done):
-            resid = [r - c * v for r, v in zip(resid, x)]
-        norm = table.class_sum(resid, resid)
+            if c:
+                resid = [r - c * v for r, v in zip(resid, x)]
+        resid = tuple(resid)
+        w = table.weigh(resid)
+        norm = table.class_sum(resid, w)
         if norm != table.group_order:
             raise ExactnessError(
                 f"row {i} residue has squared norm "
                 f"{Fraction(norm, table.group_order)}, expected 1"
             )
-        done.append(tuple(resid))
+        done.append(resid)
+        weighted.append(w)
         trans.append(tuple(coeffs) + (1,) + (0,) * (n - i - 1))
     ortho = CharacterTable(
         row_labels=table.row_labels,
@@ -149,9 +161,10 @@ def weighted_gram_schmidt(table: CharacterTable):
 
 def first_orthogonality_failure(table: CharacterTable):
     """First (i, j, value) where weighted row orthonormality fails, or None."""
+    weighted = [table.weigh(row) for row in table.entries]
     for i in range(table.nrows):
         for j in range(i, table.nrows):
-            got = table.class_sum(table.row(i), table.row(j))
+            got = table.class_sum(table.row(i), weighted[j])
             expected = table.group_order if i == j else 0
             if got != expected:
                 return (i, j, Fraction(got, table.group_order))
@@ -176,11 +189,18 @@ def first_column_orthogonality_failure(table: CharacterTable):
 
 
 def mat_mul(a, b):
-    """Exact matrix product of nested sequences."""
-    b_cols = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in b_cols) for row in a
-    )
+    """Exact matrix product of nested sequences.  Each row of the product
+    adds up the rows of ``b`` scaled by the non-zero entries of a row of
+    ``a``, so zeros of ``a`` cost nothing."""
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, b_row in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b_row)]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def triangular_solve(rows, pivots, rhs):

@@ -56,6 +56,15 @@ def transpose(a):
     return tuple(zip(*a))
 
 
+def naive_mat_mul(a, b, width):
+    """A B entry by entry, each entry one row of A against one column of
+    B; ``width`` is the number of columns of B, so that B may have no rows."""
+    return tuple(
+        tuple(sum(row[k] * b[k][j] for k in range(len(b))) for j in range(width))
+        for row in a
+    )
+
+
 def fraction_solve(a, b):
     """The unique X with A X = B over exact rationals, by Gauss-Jordan
     elimination; raises ``ZeroDivisionError`` when A is singular."""

@@ -11,9 +11,12 @@ from hobchar.chains import (
     sym_chain,
     weyl_matrix,
 )
+from hobchar.combinatorics import partitions
 from hobchar.hyperoct import hob_irreducible_table
 from hobchar.symmetric import sym_irreducible_table
 from hobchar.tables import ExactnessError
+
+from _oracles import naive_mat_mul
 
 # Frozen one-box matrices and chain products.
 WEYL_4 = ((1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 1, 1), (0, 0, 1))
@@ -133,6 +136,18 @@ class TestChainCompose:
     def test_label_mismatch(self):
         with pytest.raises(ValueError):
             chain_compose([weyl_matrix(4), weyl_matrix(4)])
+
+    def test_label_mismatch_at_last_adjacency(self):
+        # every pair is checked before the fold from the right starts
+        with pytest.raises(ValueError, match="label mismatch"):
+            chain_compose([weyl_matrix(6), weyl_matrix(5), weyl_matrix(4), weyl_matrix(4)])
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_sym_chain_is_left_fold(self, n):
+        acc = weyl_matrix(n).entries
+        for m in range(n - 1, 2, -1):
+            acc = naive_mat_mul(acc, weyl_matrix(m).entries, len(partitions(m - 1)))
+        assert sym_chain(n).entries == acc
 
     def test_s4_chain(self):
         assert sym_chain(4).entries == S4_TO_S2

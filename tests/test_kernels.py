@@ -3,6 +3,7 @@ direct expansion of the power-sum product (``_oracles``), which shares no
 idea with the recursion's sorted, merged part states, and against closed
 forms at sizes whose values no longer fit in 64 bits."""
 
+import gc
 import itertools
 import random
 from math import factorial, prod
@@ -12,11 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hobchar.combinatorics import (
+    induced_column,
     induced_value,
     partitions,
     sign_flag_vectors,
+    signed_induced_column,
     signed_induced_value,
 )
+from hobchar.hyperoct import hob_induced_table
+from hobchar.symmetric import sym_induced_table
 
 from _oracles import induced_value_by_expansion, signed_induced_value_by_expansion
 
@@ -49,6 +54,58 @@ def test_signed_full_grid(n):
             for pos, neg in classes:
                 want = signed_induced_value_by_expansion(pos, neg, lam.parts, flags)
                 assert signed_induced_value(pos, neg, lam.parts, flags) == want
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sym_induced_table_cells(n):
+    table = sym_induced_table(n)
+    for lam, row in zip(table.row_labels, table.entries):
+        for mu, value in zip(table.col_labels, row):
+            assert value == induced_value_by_expansion(mu.parts, lam.parts)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_hob_induced_table_cells(n):
+    table = hob_induced_table(n)
+    for label, row in zip(table.row_labels, table.entries):
+        parts = label.partition.parts
+        for alpha, value in zip(table.col_labels, row):
+            want = signed_induced_value_by_expansion(
+                alpha.pos.parts, alpha.neg.parts, parts, label.flags
+            )
+            assert value == want
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_column_memo_ignores_row_order(seed):
+    # one counter serves a whole column; rows of other weights, which miss
+    # the memo, are mixed in, and every value must match a fresh counter
+    rng = random.Random(seed)
+    rows = [lam.parts for m in (6, 7, 8) for lam in partitions(m)]
+    for mu in partitions(7):
+        shuffled = rng.sample(rows, len(rows))
+        want = [induced_value(mu.parts, parts) for parts in shuffled]
+        assert list(induced_column(mu.parts, shuffled)) == want
+    subgroups = [(lam.parts, flags) for m in (4, 5) for lam in partitions(m)
+                 for flags in itertools.product((0, 1), repeat=len(lam))]
+    for mu in partitions(5):
+        pos, neg = signed_class(mu, [rng.randint(0, 1) for _ in mu])
+        shuffled = rng.sample(subgroups, len(subgroups))
+        want = [signed_induced_value(pos, neg, parts, flags) for parts, flags in shuffled]
+        assert list(signed_induced_column(pos, neg, shuffled)) == want
+
+
+def test_column_memo_is_freed_with_its_counter():
+    # the memo must go when the column is done, by reference counting
+    # alone: a reference cycle would keep it until the collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        induced_column((1,) * 8, [lam.parts for lam in partitions(8)])
+        signed_induced_column((1,) * 3, (1,), [((2, 2), (0, 1)), ((3, 1), (1, 0))])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @given(st.integers(min_value=1, max_value=10), st.data())

@@ -59,3 +59,26 @@ def test_no_private_names_imported_across_modules():
         if alias.name.startswith("_")
     ]
     assert found == []
+
+
+def _is_cache_decorator(node):
+    func = node.func if isinstance(node, ast.Call) else node
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name in ("cache", "lru_cache")
+
+
+def test_no_cache_decorator_on_nested_functions():
+    # a cached inner function is a new cache for every call of the outer
+    # one: the wrapper is rebuilt each time and shares nothing between calls
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = [
+        f"{path.name}:{inner.lineno} {inner.name}"
+        for path in SOURCES
+        for outer in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(outer, functions)
+        for inner in ast.walk(outer)
+        if inner is not outer
+        and isinstance(inner, functions)
+        and any(_is_cache_decorator(d) for d in inner.decorator_list)
+    ]
+    assert found == []

@@ -15,7 +15,7 @@ from hobchar.tables import (
     weighted_gram_schmidt,
 )
 
-from _oracles import fraction_solve, transpose
+from _oracles import fraction_solve, naive_mat_mul, transpose
 
 
 def table_of(entries, orders, group_order):
@@ -43,14 +43,23 @@ class TestContainers:
 
     def test_inner_is_exact(self):
         t = table_of(((1, 1), (1, -1)), (1, 1), 2)
-        assert t.class_sum(t.row(0), t.row(0)) == 2
-        assert t.inner(t.row(0), t.row(0)) == 1
-        assert t.inner(t.row(0), t.row(1)) == 0
+        assert t.class_sum(t.row(0), t.weigh(t.row(0))) == 2
+        assert t.inner(t.row(0), t.weigh(t.row(0))) == 1
+        assert t.inner(t.row(0), t.weigh(t.row(1))) == 0
+
+    def test_weigh_multiplies_by_class_orders(self):
+        # the S_3 table: classes of orders 1, 3, 2
+        t = table_of(((1, 1, 1), (1, -1, 1), (2, 0, -1)), (1, 3, 2), 6)
+        assert t.weigh((2, 0, -1)) == (2, 0, -2)
+        assert t.class_sum((2, 0, -1), t.weigh((2, 0, -1))) == 6
+        assert [t.inner(u, t.weigh(v)) for u in t.entries for v in t.entries] == [
+            1, 0, 0, 0, 1, 0, 0, 0, 1
+        ]
 
     def test_inner_raises_on_non_integral_sum(self):
         t = table_of(((1, 1), (1, -1)), (1, 1), 2)
         with pytest.raises(ExactnessError, match="multiplicity is not an exact integer: 1/2"):
-            t.inner((1, 0), (1, 0), "multiplicity")
+            t.inner((1, 0), t.weigh((1, 0)), "multiplicity")
 
     def test_transition_shape(self):
         with pytest.raises(ValueError):
@@ -203,3 +212,29 @@ class TestLinearAlgebra:
         a = ((1, 2), (3, 4))
         assert transpose(a) == ((1, 3), (2, 4))
         assert mat_mul(a, ((1, 0), (0, 1))) == a
+
+
+def sparse_matrix(rows, cols):
+    """Small integer matrices, mostly zeros, with negative entries and
+    whole zero rows."""
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-9, 9))
+    row = st.one_of(st.just([0] * cols), st.lists(entry, min_size=cols, max_size=cols))
+    return st.lists(row, min_size=rows, max_size=rows)
+
+
+class TestMatMul:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_row_by_column_product(self, data):
+        # m = 1 gives 1 x k left factors, p = 1 gives k x 1 right factors
+        m, k, p = (data.draw(st.integers(1, 6), label=name) for name in "mkp")
+        a = data.draw(sparse_matrix(m, k), label="a")
+        b = data.draw(sparse_matrix(k, p), label="b")
+        got = mat_mul(a, b)
+        assert got == naive_mat_mul(a, b, p)
+        assert all(type(v) is int for row in got for v in row)
+
+    def test_zero_rows_and_thin_shapes(self):
+        assert mat_mul(((0, 0, 0),), ((1,), (-2,), (3,))) == ((0,),)
+        assert mat_mul(((1, 0, -2),), ((1,), (-2,), (3,))) == ((-5,),)
+        assert mat_mul(((2,), (0,), (-1,)), ((3, 0, -4),)) == ((6, 0, -8), (0, 0, 0), (-3, 0, 4))
