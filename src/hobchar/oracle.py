@@ -6,20 +6,27 @@ induced characters come from counting fixed cosets, and restriction
 multiplicities from summing over all elements.  It deliberately shares no
 machinery with the formula-based modules beyond the label types, and it
 must stay dumb: its value is being obviously correct, not fast.  It is
-still brute force over every element; it only avoids repeating work: each
-conjugate is built once, in one pass, each class is closed by conjugating
-its members by the n generators rather than by every group element, and
-each class keeps the keys of its members, which every subgroup's
-fixed-coset count then reads.  Rank is capped at ``MAX_RANK`` (2**6 * 6! =
-46080 elements); the coset and restriction brute force stop at
-``COSET_MAX_RANK``.
+still brute force over every element; it only avoids repeating work and
+building objects it does not need.  Each class is closed by conjugating
+its members by the n generators rather than by every group element, on
+``(perm, signs)`` keys: every conjugate is one key from one pass over the
+points, and it is looked up in a key -> element index of the enumeration,
+so a conjugate outside the enumerated group raises ``ExactnessError``.
+Each class keeps the keys of its members, which every subgroup's
+fixed-coset count then reads.  The restriction takes each irreducible
+row's values at every element once, as a flat list, and each multiplicity
+is one sum of products of two such lists.  Rank is capped at
+``MAX_RANK`` (2**6 * 6! = 46080 elements); the coset and restriction
+brute force stop at ``COSET_MAX_RANK``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 
 from hobchar.combinatorics import Partition
 from hobchar.hyperoct import AlphaSystem, SignedSubgroupLabel
@@ -69,58 +76,55 @@ class SignedPermutation:
         return SignedPermutation(tuple(inv), signs)
 
     def conjugate(self, x: "SignedPermutation") -> "SignedPermutation":
-        """x * self * x.inverse(), in one pass over the points.
-
-        As a signed map g sends i to f(p(i)) p(i); with c = x g x^-1,
-        c(x(i)) = x(g(i)) gives c(p_x(i)) = s * p_x(p_g(i)), where s is the
-        product of the signs x puts on p_x(i) and p_x(p_g(i)) and the sign g
-        puts on p_g(i).
-        """
-        n = len(self.perm)
-        if len(x.perm) != n:
-            raise ValueError("rank mismatch")
-        perm = [0] * n
-        signs = [0] * n
-        for i in range(n):
-            j = self.perm[i]
-            a = x.perm[i]
-            b = x.perm[j - 1]
-            perm[a - 1] = b
-            signs[b - 1] = x.signs[a - 1] * self.signs[j - 1] * x.signs[b - 1]
-        return SignedPermutation(tuple(perm), tuple(signs))
+        """x * self * x.inverse(); see :func:`_conjugate_key`."""
+        return SignedPermutation(*_conjugate_key(self.key(), x.key()))
 
     def key(self):
         return (self.perm, self.signs)
 
-    def cycles(self):
-        n = len(self.perm)
-        seen = [False] * n
-        out = []
-        for start in range(1, n + 1):
-            if seen[start - 1]:
-                continue
-            cyc = []
-            a = start
-            while not seen[a - 1]:
-                seen[a - 1] = True
-                cyc.append(a)
-                a = self.perm[a - 1]
-            out.append(tuple(cyc))
-        return out
-
     def alpha_system(self) -> AlphaSystem:
         """Lengths of the positive and of the negative cycles, read off
-        this single element."""
+        this single element in one walk over its cycles."""
+        perm, signs = self.perm, self.signs
+        seen = [False] * len(perm)
         pos, neg = [], []
-        for cyc in self.cycles():
-            sign = 1
-            for a in cyc:
-                sign *= self.signs[a - 1]
-            (pos if sign == 1 else neg).append(len(cyc))
+        for start in range(len(perm)):
+            if seen[start]:
+                continue
+            length, sign, a = 0, 1, start
+            while not seen[a]:
+                seen[a] = True
+                length += 1
+                sign *= signs[a]
+                a = perm[a] - 1
+            (pos if sign == 1 else neg).append(length)
         return AlphaSystem(
             Partition(tuple(sorted(pos, reverse=True))),
             Partition(tuple(sorted(neg, reverse=True))),
         )
+
+
+def _conjugate_key(g_key, x_key):
+    """Key of x * g * x^-1 from the keys of g and x, in one pass over the
+    points.
+
+    As a signed map g sends i to f(p(i)) p(i); with c = x g x^-1,
+    c(x(i)) = x(g(i)) gives c(p_x(i)) = s * p_x(p_g(i)), where s is the
+    product of the signs x puts on p_x(i) and p_x(p_g(i)) and the sign g
+    puts on p_g(i).
+    """
+    g_perm, g_signs = g_key
+    x_perm, x_signs = x_key
+    n = len(g_perm)
+    if len(x_perm) != n:
+        raise ValueError("rank mismatch")
+    perm = [0] * n
+    signs = [0] * n
+    for a, j in zip(x_perm, g_perm):
+        b = x_perm[j - 1]
+        perm[a - 1] = b
+        signs[b - 1] = x_signs[a - 1] * g_signs[j - 1] * x_signs[b - 1]
+    return (tuple(perm), tuple(signs))
 
 
 def _check_rank(n: int, cap: int = MAX_RANK):
@@ -148,17 +152,10 @@ def to_ambient_permutation(g: SignedPermutation, n: int) -> tuple[int, ...]:
     """
     if len(g.perm) != n:
         raise ValueError("rank mismatch")
-
-    def encode(sym):
-        return sym - 1 if sym > 0 else n - sym - 1
-
-    images = [0] * (2 * n)
-    for i in range(1, n + 1):
-        j = g.perm[i - 1]
-        target = g.signs[j - 1] * j
-        images[encode(i)] = encode(target)
-        images[encode(-i)] = encode(-target)
-    return tuple(images)
+    signs = g.signs
+    plus = [j - 1 if signs[j - 1] == 1 else n + j - 1 for j in g.perm]
+    # g(-i) = -g(+i), and the position of -x is n places from that of +x
+    return (*plus, *[(v + n) % (2 * n) for v in plus])
 
 
 def ambient_cycle_type(g: SignedPermutation, n: int) -> Partition:
@@ -205,32 +202,41 @@ def oracle_class_data(n: int) -> tuple[OracleClass, ...]:
     """Conjugacy classes as orbits under conjugation by the generators.
 
     Every element is enumerated.  The first element not yet in a class
-    starts a new one, which is closed breadth first: each member found is
-    conjugated by each Coxeter generator, and every other member is the
-    result of such an explicit conjugation.  The generators generate the
-    group, so the orbit is the whole class.  Classes are ordered by first
-    occurrence in the element enumeration; the representative is the
+    starts a new one, which is closed breadth first on keys: the key of
+    each member found is conjugated by the key of each Coxeter generator,
+    every other member is the result of such an explicit conjugation, and
+    each new key must name an enumerated element.  The generators generate
+    the group, so the orbit is the whole class.  Classes are ordered by
+    first occurrence in the element enumeration; the representative is the
     lexicographically minimal element, and the member keys are kept for
     the fixed-coset counts.  The signed cycle lengths and the ambient cycle
-    type are read off every element and must be constant on the class.
+    type are read off every element and must be constant on the class; the
+    class sizes must sum to the 2**n n! elements enumerated.
     """
     _check_rank(n)
     elements = enumerate_group(n)
-    generators = coxeter_generators(n)
-    assigned: set = set()
+    # key -> element for every element in no class yet; a closed class is
+    # closed under the generators, so a conjugate missing here is not in
+    # the enumeration at all
+    unassigned = {g.key(): g for g in elements}
+    generators = [s.key() for s in coxeter_generators(n)]
     out = []
     for g in elements:
-        if g.key() in assigned:
+        if g.key() not in unassigned:
             continue
-        members = {g.key(): g}
-        queue = [g]
+        members = {g.key(): unassigned.pop(g.key())}
+        queue = [g.key()]
         for h in queue:  # grows as the orbit is found: breadth first
             for s in generators:
-                c = h.conjugate(s)
-                if c.key() not in members:
-                    members[c.key()] = c
+                c = _conjugate_key(h, s)
+                if c not in members:
+                    member = unassigned.pop(c, None)
+                    if member is None:
+                        raise ExactnessError(
+                            f"conjugate {c!r} of {h!r} by {s!r} is not in the enumerated group"
+                        )
+                    members[c] = member
                     queue.append(c)
-        assigned.update(members)
         rep = members[min(members)]
         alphas = {c.alpha_system() for c in members.values()}
         ambients = {ambient_cycle_type(c, n) for c in members.values()}
@@ -252,6 +258,8 @@ def oracle_class_data(n: int) -> tuple[OracleClass, ...]:
         raise ExactnessError(
             f"class sizes sum to {sum(c.size for c in out)}, not {len(elements)} elements"
         )
+    if len(elements) != 2**n * math.factorial(n):
+        raise ExactnessError(f"{len(elements)} elements, not 2**{n} * {n}! at rank {n}")
     return tuple(out)
 
 
@@ -340,16 +348,16 @@ def oracle_restriction(n: int) -> BranchingMatrix:
     y_col = {alpha: c for c, alpha in enumerate(y.col_labels)}
     elements = enumerate_group(n)
     order = len(elements)
-    # per element: ambient class column and subgroup class column
-    cols = [
-        (x_col[ambient_cycle_type(g, n)], y_col[g.alpha_system()])
-        for g in elements
-    ]
+    # each irreducible row's value at every element, as one flat list
+    x_of = [x_col[ambient_cycle_type(g, n)] for g in elements]
+    y_of = [y_col[g.alpha_system()] for g in elements]
+    x_vals = [[row[a] for a in x_of] for row in x.entries]
+    y_vals = [[row[b] for b in y_of] for row in y.entries]
     entries = []
-    for i in range(x.nrows):
+    for i, xv in enumerate(x_vals):
         row = []
-        for k in range(y.nrows):
-            total = sum(x.row(i)[a] * y.row(k)[b] for a, b in cols)
+        for k, yv in enumerate(y_vals):
+            total = sum(map(mul, xv, yv))
             mult, r = divmod(total, order)
             if r:
                 raise ExactnessError(

@@ -177,9 +177,10 @@ def first_column_orthogonality_failure(table: CharacterTable):
     The exact relation: sum_i T[i][c] T[i][c'] equals group_order/|class c|
     when c == c' and 0 otherwise.
     """
+    cols = [[row[c] for row in table.entries] for c in range(table.ncols)]
     for c in range(table.ncols):
         for d in range(c, table.ncols):
-            got = sum(row[c] * row[d] for row in table.entries)
+            got = sum(map(mul, cols[c], cols[d]))
             if c == d:
                 if got * table.col_class_orders[c] != table.group_order:
                     return (c, d, got)

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -55,10 +56,13 @@ class TestSignedPermutation:
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_conjugate_is_the_triple_product(self, n):
+        # the key-level conjugation the class closure runs is the one
+        # behind SignedPermutation.conjugate
         elements = enumerate_group(n)
         for g in elements:
             for x in elements:
                 assert g.conjugate(x) == x * g * x.inverse()
+                assert oracle._conjugate_key(g.key(), x.key()) == g.conjugate(x).key()
 
     @pytest.mark.parametrize("n", (4, 5))
     def test_conjugate_is_the_triple_product_sampled(self, n):
@@ -186,6 +190,66 @@ class TestClassData:
                 oracle_class_data(2)
         finally:
             oracle_class_data.cache_clear()
+
+    def test_conjugate_outside_the_enumeration_raises_exactness_error(self, monkeypatch):
+        # drop the single flip at point 1: conjugating the flip at point 2
+        # by the swap (1, 2) reaches it, and the index has no such element
+        flip = SignedPermutation((1, 2), (-1, 1))
+        kept = tuple(g for g in enumerate_group(2) if g != flip)
+        monkeypatch.setattr(oracle, "enumerate_group", lambda n: kept)
+        oracle_class_data.cache_clear()
+        try:
+            with pytest.raises(ExactnessError, match="not in the enumerated group"):
+                oracle_class_data(2)
+        finally:
+            oracle_class_data.cache_clear()
+
+    def test_missing_central_element_raises_exactness_error(self, monkeypatch):
+        # the identity is a class of its own, so no conjugate reaches it;
+        # the element count still falls short of 2**2 * 2!
+        kept = enumerate_group(2)[1:]
+        assert SignedPermutation.identity(2) not in kept
+        monkeypatch.setattr(oracle, "enumerate_group", lambda n: kept)
+        oracle_class_data.cache_clear()
+        try:
+            with pytest.raises(ExactnessError, match=re.escape("7 elements, not 2**2 * 2!")):
+                oracle_class_data(2)
+        finally:
+            oracle_class_data.cache_clear()
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_any_missing_element_raises_exactness_error(self, monkeypatch, n):
+        full = enumerate_group(n)
+        oracle_class_data.cache_clear()
+        try:
+            for drop in range(len(full)):
+                kept = full[:drop] + full[drop + 1 :]
+                monkeypatch.setattr(oracle, "enumerate_group", lambda n: kept)
+                with pytest.raises(ExactnessError):
+                    oracle_class_data(n)
+        finally:
+            oracle_class_data.cache_clear()
+
+    def test_closure_builds_no_element(self, monkeypatch):
+        # every member comes from the enumeration; the closure itself
+        # constructs no SignedPermutation
+        oracle_class_data.cache_clear()
+        enumerate_group.cache_clear()
+        built = []
+        real = SignedPermutation.__post_init__
+
+        def counted(self):
+            built.append(self.key())
+            real(self)
+
+        monkeypatch.setattr(SignedPermutation, "__post_init__", counted)
+        try:
+            oracle_class_data(3)
+        finally:
+            oracle_class_data.cache_clear()
+        # 48 enumerated elements and 3 generators
+        assert len(built) == 48 + 3
+        assert set(built) == {g.key() for g in enumerate_group(3)}
 
     def test_class_size_mismatch_raises_exactness_error(self, monkeypatch):
         # a repeated element is absorbed by its class, so the class sizes
