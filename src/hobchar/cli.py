@@ -28,11 +28,7 @@ from hobchar.serialize import (
     document_from,
     render,
 )
-from hobchar.tables import (
-    CharacterTable,
-    first_column_orthogonality_failure,
-    first_orthogonality_failure,
-)
+from hobchar.tables import CharacterTable, first_orthogonality_failure
 
 SYM_DEFAULT_CAP = 12      # S_n degree for the formula pipeline
 HOB_DEFAULT_CAP = 6       # rank for the formula pipeline
@@ -223,16 +219,12 @@ def _orthogonality_reports(n) -> list[CheckReport]:
         ("orthogonality-hyperoct", hyperoct.hob_irreducible_table(n)[0]),
     ):
         fail = first_orthogonality_failure(table)
-        kind = "row"
-        if fail is None:
-            fail = first_column_orthogonality_failure(table)
-            kind = "column"
         if fail is None:
             out.append(CheckReport(check=check, n=n, passed=True))
         else:
             i, j, got = fail
             out.append(
-                mismatch(check, n, f"{kind} {i}", f"{kind} {j}", str(got), "orthogonality value")
+                mismatch(check, n, f"row {i}", f"row {j}", str(got), "orthogonality value")
             )
     return out
 

@@ -1,23 +1,24 @@
 """Brute-force ground truth for small ranks.
 
-Everything here works on explicitly enumerated signed permutations:
-conjugacy classes are orbits under conjugation by the Coxeter generators,
-induced characters come from counting fixed cosets, and restriction
-multiplicities from summing over all elements.  It deliberately shares no
-machinery with the formula-based modules beyond the label types, and it
-must stay dumb: its value is being obviously correct, not fast.  It is
-still brute force over every element; it only avoids repeating work and
-building objects it does not need.  Each class is closed by conjugating
-its members by the n generators rather than by every group element, on
-``(perm, signs)`` keys: every conjugate is one key from one pass over the
-points, and it is looked up in a key -> element index of the enumeration,
-so a conjugate outside the enumerated group raises ``ExactnessError``.
-Each class keeps the keys of its members, which every subgroup's
-fixed-coset count then reads.  The restriction takes each irreducible
-row's values at every element once, as a flat list, and each multiplicity
-is one sum of products of two such lists.  Rank is capped at
-``MAX_RANK`` (2**6 * 6! = 46080 elements); the coset and restriction
-brute force stop at ``COSET_MAX_RANK``.
+Everything here works on explicitly enumerated signed permutations, each
+one a ``(perm, signs)`` pair of tuples: ``perm[i-1]`` is the image of
+point i and ``signs[i-1]`` the sign at point i.  Conjugacy classes are
+orbits under conjugation by the Coxeter generators, induced characters
+come from counting fixed cosets, and restriction multiplicities from
+summing over all elements.  It deliberately shares no machinery with the
+formula-based modules beyond the label types, and it must stay dumb: its
+value is being obviously correct, not fast.  It is still brute force over
+every element; it only avoids repeating work.  Each class is closed by
+conjugating its members by the n generators rather than by every group
+element: every conjugate is one pair from one pass over the points, and
+it is looked up among the enumerated elements in no class yet, so a
+conjugate outside the enumerated group raises ``ExactnessError``.  Each
+class keeps its members, which every subgroup's fixed-coset count then
+reads.  The restriction takes each irreducible row's values at every
+element once, as a flat list, and each multiplicity is one sum of
+products of two such lists.  Rank is capped at ``MAX_RANK``
+(2**6 * 6! = 46080 elements); the coset and restriction brute force stop
+at ``COSET_MAX_RANK``.
 """
 
 from __future__ import annotations
@@ -36,85 +37,42 @@ from hobchar.tables import ExactnessError, exact_div
 MAX_RANK = 6
 COSET_MAX_RANK = 4  # fixed-coset counts and restriction by summation
 
-
-@dataclass(frozen=True)
-class SignedPermutation:
-    """A permutation of 1..N with a sign attached to each point.
-
-    ``perm[i-1]`` is the image of i, ``signs[i-1]`` the sign at point i.
-    Composition: (p', f')(p, f) = (p'p, f' * (f o p'^-1)).
-    """
-
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(1, len(self.perm) + 1)):
-            raise ValueError(f"not a permutation of 1..N: {self.perm!r}")
-        if len(self.signs) != len(self.perm) or any(s not in (1, -1) for s in self.signs):
-            raise ValueError("signs must be +-1, one per point")
-
-    @classmethod
-    def identity(cls, n: int) -> "SignedPermutation":
-        return cls(tuple(range(1, n + 1)), (1,) * n)
-
-    def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        n = len(self.perm)
-        perm = tuple(self.perm[other.perm[i] - 1] for i in range(n))
-        inv = [0] * n
-        for i, v in enumerate(self.perm):
-            inv[v - 1] = i + 1
-        signs = tuple(self.signs[j] * other.signs[inv[j] - 1] for j in range(n))
-        return SignedPermutation(perm, signs)
-
-    def inverse(self) -> "SignedPermutation":
-        n = len(self.perm)
-        inv = [0] * n
-        for i, v in enumerate(self.perm):
-            inv[v - 1] = i + 1
-        signs = tuple(self.signs[self.perm[j] - 1] for j in range(n))
-        return SignedPermutation(tuple(inv), signs)
-
-    def conjugate(self, x: "SignedPermutation") -> "SignedPermutation":
-        """x * self * x.inverse(); see :func:`_conjugate_key`."""
-        return SignedPermutation(*_conjugate_key(self.key(), x.key()))
-
-    def key(self):
-        return (self.perm, self.signs)
-
-    def alpha_system(self) -> AlphaSystem:
-        """Lengths of the positive and of the negative cycles, read off
-        this single element in one walk over its cycles."""
-        perm, signs = self.perm, self.signs
-        seen = [False] * len(perm)
-        pos, neg = [], []
-        for start in range(len(perm)):
-            if seen[start]:
-                continue
-            length, sign, a = 0, 1, start
-            while not seen[a]:
-                seen[a] = True
-                length += 1
-                sign *= signs[a]
-                a = perm[a] - 1
-            (pos if sign == 1 else neg).append(length)
-        return AlphaSystem(
-            Partition(tuple(sorted(pos, reverse=True))),
-            Partition(tuple(sorted(neg, reverse=True))),
-        )
+# a signed permutation: (perm, signs), as in the module docstring
+Element = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _conjugate_key(g_key, x_key):
-    """Key of x * g * x^-1 from the keys of g and x, in one pass over the
-    points.
+def alpha_system(g: Element) -> AlphaSystem:
+    """Lengths of the positive and of the negative cycles of ``g``, read
+    off in one walk over its cycles."""
+    perm, signs = g
+    seen = [False] * len(perm)
+    pos, neg = [], []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length, sign, a = 0, 1, start
+        while not seen[a]:
+            seen[a] = True
+            length += 1
+            sign *= signs[a]
+            a = perm[a] - 1
+        (pos if sign == 1 else neg).append(length)
+    return AlphaSystem(
+        Partition(tuple(sorted(pos, reverse=True))),
+        Partition(tuple(sorted(neg, reverse=True))),
+    )
+
+
+def conjugate(g: Element, x: Element) -> Element:
+    """x * g * x^-1, in one pass over the points.
 
     As a signed map g sends i to f(p(i)) p(i); with c = x g x^-1,
     c(x(i)) = x(g(i)) gives c(p_x(i)) = s * p_x(p_g(i)), where s is the
     product of the signs x puts on p_x(i) and p_x(p_g(i)) and the sign g
     puts on p_g(i).
     """
-    g_perm, g_signs = g_key
-    x_perm, x_signs = x_key
+    g_perm, g_signs = g
+    x_perm, x_signs = x
     n = len(g_perm)
     if len(x_perm) != n:
         raise ValueError("rank mismatch")
@@ -133,32 +91,32 @@ def _check_rank(n: int, cap: int = MAX_RANK):
 
 
 @lru_cache(maxsize=None)
-def enumerate_group(n: int) -> tuple[SignedPermutation, ...]:
+def enumerate_group(n: int) -> tuple[Element, ...]:
     """All 2**n n! elements, in deterministic (perm, signs) order."""
     _check_rank(n)
     return tuple(
-        SignedPermutation(perm, signs)
+        (perm, signs)
         for perm in itertools.permutations(range(1, n + 1))
         for signs in itertools.product((1, -1), repeat=n)
     )
 
 
-def to_ambient_permutation(g: SignedPermutation, n: int) -> tuple[int, ...]:
+def to_ambient_permutation(g: Element, n: int) -> tuple[int, ...]:
     """Image of ``g`` on the 2n symbols ordered (+1..+n, -1..-n).
 
     Returned as a tuple of image positions (0-based): position i < n is
     symbol +(i+1), position n+i is -(i+1).  g(+i) = f(p(i)) * p(i) and
     g(-i) = -g(+i), which makes the map a homomorphism.
     """
-    if len(g.perm) != n:
+    perm, signs = g
+    if len(perm) != n:
         raise ValueError("rank mismatch")
-    signs = g.signs
-    plus = [j - 1 if signs[j - 1] == 1 else n + j - 1 for j in g.perm]
+    plus = [j - 1 if signs[j - 1] == 1 else n + j - 1 for j in perm]
     # g(-i) = -g(+i), and the position of -x is n places from that of +x
     return (*plus, *[(v + n) % (2 * n) for v in plus])
 
 
-def ambient_cycle_type(g: SignedPermutation, n: int) -> Partition:
+def ambient_cycle_type(g: Element, n: int) -> Partition:
     """Cycle type of the ambient image of ``g``; independent cycle count."""
     images = to_ambient_permutation(g, n)
     seen = [False] * (2 * n)
@@ -180,20 +138,20 @@ def ambient_cycle_type(g: SignedPermutation, n: int) -> Partition:
 class OracleClass:
     alpha: AlphaSystem
     size: int
-    representative: SignedPermutation
+    representative: Element
     ambient: Partition
-    members: frozenset = field(repr=False)  # keys of every element of the class
+    members: frozenset[Element] = field(repr=False)  # every element of the class
 
 
-def coxeter_generators(n: int) -> tuple[SignedPermutation, ...]:
+def coxeter_generators(n: int) -> tuple[Element, ...]:
     """The n Coxeter generators: the sign flip at point 1 and the n - 1
     adjacent transpositions (i, i + 1).  Each is its own inverse."""
-    flip = SignedPermutation(tuple(range(1, n + 1)), (-1,) + (1,) * (n - 1))
+    flip = (tuple(range(1, n + 1)), (-1,) + (1,) * (n - 1))
     swaps = []
     for i in range(1, n):
         perm = list(range(1, n + 1))
         perm[i - 1], perm[i] = i + 1, i
-        swaps.append(SignedPermutation(tuple(perm), (1,) * n))
+        swaps.append((tuple(perm), (1,) * n))
     return (flip, *swaps)
 
 
@@ -202,55 +160,58 @@ def oracle_class_data(n: int) -> tuple[OracleClass, ...]:
     """Conjugacy classes as orbits under conjugation by the generators.
 
     Every element is enumerated.  The first element not yet in a class
-    starts a new one, which is closed breadth first on keys: the key of
-    each member found is conjugated by the key of each Coxeter generator,
-    every other member is the result of such an explicit conjugation, and
-    each new key must name an enumerated element.  The generators generate
-    the group, so the orbit is the whole class.  Classes are ordered by
-    first occurrence in the element enumeration; the representative is the
-    lexicographically minimal element, and the member keys are kept for
-    the fixed-coset counts.  The signed cycle lengths and the ambient cycle
-    type are read off every element and must be constant on the class; the
+    starts a new one, which is closed breadth first: each member found is
+    conjugated by each Coxeter generator, every other member is the result
+    of such an explicit conjugation, and each new conjugate must be one of
+    the enumerated elements in no class yet.  The generators generate the
+    group, so the orbit is the whole class.  Classes are ordered by first
+    occurrence in the element enumeration; the representative is the
+    lexicographically minimal member, and the members are kept for the
+    fixed-coset counts.  The signed cycle lengths and the ambient cycle
+    type are read off every member and must be constant on the class; the
     class sizes must sum to the 2**n n! elements enumerated.
     """
     _check_rank(n)
     elements = enumerate_group(n)
-    # key -> element for every element in no class yet; a closed class is
-    # closed under the generators, so a conjugate missing here is not in
-    # the enumeration at all
-    unassigned = {g.key(): g for g in elements}
-    generators = [s.key() for s in coxeter_generators(n)]
+    # every element in no class yet; a closed class is closed under the
+    # generators, so a conjugate missing here is not in the enumeration
+    unassigned = set(elements)
+    generators = coxeter_generators(n)
     out = []
     for g in elements:
-        if g.key() not in unassigned:
+        if g not in unassigned:
             continue
-        members = {g.key(): unassigned.pop(g.key())}
-        queue = [g.key()]
+        unassigned.remove(g)
+        members = {g}
+        queue = [g]
         for h in queue:  # grows as the orbit is found: breadth first
             for s in generators:
-                c = _conjugate_key(h, s)
-                if c not in members:
-                    member = unassigned.pop(c, None)
-                    if member is None:
-                        raise ExactnessError(
-                            f"conjugate {c!r} of {h!r} by {s!r} is not in the enumerated group"
-                        )
-                    members[c] = member
-                    queue.append(c)
-        rep = members[min(members)]
-        alphas = {c.alpha_system() for c in members.values()}
-        ambients = {ambient_cycle_type(c, n) for c in members.values()}
+                c = conjugate(h, s)
+                if c in members:
+                    continue
+                try:
+                    unassigned.remove(c)
+                except KeyError:
+                    raise ExactnessError(
+                        f"conjugate {c!r} of {h!r} by {s!r} is not in the enumerated group"
+                    ) from None
+                members.add(c)
+                queue.append(c)
+        rep = min(members)
+        alphas = {alpha_system(c) for c in members}
+        ambients = {ambient_cycle_type(c, n) for c in members}
         if len(alphas) != 1 or len(ambients) != 1:
             raise ExactnessError(
-                f"class of {rep.key()!r}: signed cycles {sorted(map(str, alphas))} and "
+                f"class of {rep!r}: signed cycles {sorted(map(str, alphas))} and "
                 f"ambient cycle type {sorted(map(str, ambients))} not constant on the class"
             )
+        (alpha,), (ambient,) = alphas, ambients
         out.append(
             OracleClass(
-                alpha=rep.alpha_system(),
+                alpha=alpha,
                 size=len(members),
                 representative=rep,
-                ambient=ambient_cycle_type(rep, n),
+                ambient=ambient,
                 members=frozenset(members),
             )
         )
@@ -277,7 +238,7 @@ def _block_elements(coords, flag):
     return out
 
 
-def subgroup_elements(n: int, label: SignedSubgroupLabel) -> tuple[SignedPermutation, ...]:
+def subgroup_elements(n: int, label: SignedSubgroupLabel) -> tuple[Element, ...]:
     """The concrete canonical subgroup on consecutive coordinate blocks."""
     _check_rank(n)
     if label.weight != n:
@@ -297,7 +258,7 @@ def subgroup_elements(n: int, label: SignedSubgroupLabel) -> tuple[SignedPermuta
                 perm[c - 1] = v
             for c, s in block_signs.items():
                 signs[c - 1] = s
-        out.append(SignedPermutation(tuple(perm), tuple(signs)))
+        out.append((tuple(perm), tuple(signs)))
     if len(out) != label.subgroup_order():
         raise ExactnessError(
             f"subgroup {label!r} has {len(out)} elements, expected {label.subgroup_order()}"
@@ -314,7 +275,7 @@ def oracle_induced_char(n: int, label: SignedSubgroupLabel) -> tuple[int, ...]:
     |G| / |class| times, so the count of such x is |G| / |class| times the
     number of class members that lie in H."""
     _check_rank(n, cap=COSET_MAX_RANK)
-    subgroup = {g.key() for g in subgroup_elements(n, label)}
+    subgroup = set(subgroup_elements(n, label))
     order = len(subgroup)
     group_order = len(enumerate_group(n))
     values = []
@@ -350,7 +311,7 @@ def oracle_restriction(n: int) -> BranchingMatrix:
     order = len(elements)
     # each irreducible row's value at every element, as one flat list
     x_of = [x_col[ambient_cycle_type(g, n)] for g in elements]
-    y_of = [y_col[g.alpha_system()] for g in elements]
+    y_of = [y_col[alpha_system(g)] for g in elements]
     x_vals = [[row[a] for a in x_of] for row in x.entries]
     y_vals = [[row[b] for b in y_of] for row in y.entries]
     entries = []

@@ -200,24 +200,52 @@ def cycle_type_of(perm):
     return tuple(sorted(lengths, reverse=True))
 
 
+# The group law of the signed permutations, on the oracle's (perm, signs)
+# pairs: perm[i-1] is the image of point i, signs[i-1] the sign at point i,
+# and (p', f')(p, f) = (p'p, f' * (f o p'^-1)).
+
+
+def identity(n):
+    return (tuple(range(1, n + 1)), (1,) * n)
+
+
+def _inverse_perm(perm):
+    inv = [0] * len(perm)
+    for i, v in enumerate(perm):
+        inv[v - 1] = i + 1
+    return inv
+
+
+def mul(a, b):
+    (a_perm, a_signs), (b_perm, b_signs) = a, b
+    n = len(a_perm)
+    perm = tuple(a_perm[b_perm[i] - 1] for i in range(n))
+    inv = _inverse_perm(a_perm)
+    signs = tuple(a_signs[j] * b_signs[inv[j] - 1] for j in range(n))
+    return (perm, signs)
+
+
+def inverse(g):
+    perm, signs = g
+    return (tuple(_inverse_perm(perm)), tuple(signs[v - 1] for v in perm))
+
+
 def class_data_by_closure(n):
-    """The oracle's classes as (size, representative key, cycle-sign label,
+    """The oracle's classes as (size, representative, cycle-sign label,
     ambient label), by the three-product conjugation closure x * g * x^-1
     over every element, in order of first occurrence."""
-    from hobchar.oracle import SignedPermutation, ambient_cycle_type, enumerate_group
+    from hobchar.oracle import alpha_system, ambient_cycle_type, enumerate_group
 
     elements = enumerate_group(n)
     assigned = set()
     out = []
     for g in elements:
-        if g.key() in assigned:
+        if g in assigned:
             continue
-        members = {(x * g * x.inverse()).key() for x in elements}
+        members = {mul(mul(x, g), inverse(x)) for x in elements}
         assigned |= members
-        rep = SignedPermutation(*min(members))
-        out.append(
-            (len(members), rep.key(), rep.alpha_system().label, ambient_cycle_type(rep, n).label)
-        )
+        rep = min(members)
+        out.append((len(members), rep, alpha_system(rep).label, ambient_cycle_type(rep, n).label))
     return out
 
 
@@ -228,11 +256,11 @@ def induced_char_by_conjugation(n, label):
     from hobchar.oracle import enumerate_group, oracle_class_data, subgroup_elements
 
     elements = enumerate_group(n)
-    members = {h.key() for h in subgroup_elements(n, label)}
+    members = set(subgroup_elements(n, label))
     values = []
     for cls in oracle_class_data(n):
         g = cls.representative
-        hits = sum(1 for x in elements if (x.inverse() * g * x).key() in members)
+        hits = sum(1 for x in elements if mul(mul(inverse(x), g), x) in members)
         value, r = divmod(hits, len(members))
         if r:
             raise ArithmeticError(f"{hits} hits not divisible by {len(members)}")

@@ -50,7 +50,7 @@ class TestExitCodes:
         real = oracle.ambient_cycle_type
 
         def uneven(g, n):
-            return Partition((4,)) if g.signs[0] == -1 else real(g, n)
+            return Partition((4,)) if g[1][0] == -1 else real(g, n)
 
         monkeypatch.setattr(oracle, "ambient_cycle_type", uneven)
         oracle.oracle_class_data.cache_clear()
@@ -234,25 +234,6 @@ class TestVerifyCommand:
             "row_label": "row 0",
             "col_label": "row 1",
             "lhs": "1/2",
-            "rhs": "orthogonality value",
-        }
-
-    def test_column_orthogonality_failure_report(self, capsys, monkeypatch):
-        import hobchar.cli as cli_mod
-
-        monkeypatch.setattr(cli_mod, "first_orthogonality_failure", lambda table: None)
-        monkeypatch.setattr(
-            cli_mod, "first_column_orthogonality_failure", lambda table: (2, 2, 5)
-        )
-        code, out, _ = invoke(
-            capsys, "verify", "--check", "orthogonality", "--n", "1", "--format", "json"
-        )
-        assert code == 1
-        report = json.loads(out)["reports"][0]
-        assert report["first_mismatch"] == {
-            "row_label": "column 2",
-            "col_label": "column 2",
-            "lhs": "5",
             "rhs": "orthogonality value",
         }
 

@@ -82,3 +82,49 @@ def test_no_cache_decorator_on_nested_functions():
         and any(_is_cache_decorator(d) for d in inner.decorator_list)
     ]
     assert found == []
+
+
+# the label types, the matrix container and the exact-division helpers
+ORACLE_PACKAGE_IMPORTS = {
+    "Partition",
+    "AlphaSystem",
+    "SignedSubgroupLabel",
+    "BranchingMatrix",
+    "ExactnessError",
+    "exact_div",
+}
+
+
+def _imports_outside(tree, skipped):
+    """Import statements of ``tree`` outside the functions named in ``skipped``."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef) and node.name in skipped:
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_oracle_shares_no_code_with_the_pipeline():
+    # the brute-force oracle is the one check of the classes, the fusion,
+    # the induced values and R1 that shares no code with the formula
+    # modules; only the two comparisons against them may import more
+    path = Path(hobchar.__file__).parent / "oracle.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in _imports_outside(tree, {"oracle_restriction", "oracle_agreement"}):
+        if isinstance(node, ast.Import):
+            found += [
+                f"{node.lineno} {alias.name}"
+                for alias in node.names
+                if alias.name.split(".")[0] == "hobchar"
+            ]
+        elif node.level or (node.module or "").split(".")[0] == "hobchar":
+            found += [
+                f"{node.lineno} {alias.name}"
+                for alias in node.names
+                if alias.name not in ORACLE_PACKAGE_IMPORTS
+            ]
+    assert found == []
