@@ -9,6 +9,10 @@ The table cache directory comes from ``--cache-dir``, falling back to the
 ``HOBCHAR_CACHE_DIR`` environment variable; ``--no-cache`` disables both.
 Only ``table`` and ``fchar`` results are cached (they are the expensive
 artifacts); branching matrices are cheap recombinations of cached tables.
+
+One parser, ``PARSER``, is built at import and reused by every ``run``;
+the subcommand is dispatched by name to the module's ``cmd_*`` function
+at call time.
 """
 
 from __future__ import annotations
@@ -66,26 +70,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classes", parents=[common], help="conjugacy classes and orders")
     p.add_argument("--group", choices=("sym", "hyperoct"), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_classes)
 
     p = sub.add_parser("table", parents=[common], help="character tables")
     p.add_argument("--group", choices=("sym", "hyperoct"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=TABLE_KINDS, required=True)
-    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser(
         "branch", parents=[common], help="branching matrices for S_2n over rank n"
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=("irreducible", "induced"), required=True)
-    p.set_defaults(func=cmd_branch)
 
     p = sub.add_parser(
         "fchar", parents=[common], help="coset permutation character of S_2n"
     )
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_fchar)
 
     p = sub.add_parser("verify", parents=[common], help="consistency checks")
     p.add_argument(
@@ -95,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--max-n", type=int, default=None)
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -281,18 +280,28 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+PARSER = build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    # Looked up at call time, so a rebound ``cmd_*`` global is the one called.
+    command = {
+        "classes": cmd_classes,
+        "table": cmd_table,
+        "branch": cmd_branch,
+        "fchar": cmd_fchar,
+        "verify": cmd_verify,
+    }[args.command]
     with warnings.catch_warnings():
         if args.quiet:
             warnings.simplefilter("ignore", CacheWarning)
         try:
-            return args.func(args)
+            return command(args)
         except (ValueError, ArithmeticError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

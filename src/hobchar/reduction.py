@@ -33,7 +33,7 @@ class BranchingMatrix:
     def __post_init__(self):
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
-        object.__setattr__(self, "entries", tuple(tuple(r) for r in self.entries))
+        object.__setattr__(self, "entries", tuple([tuple(r) for r in self.entries]))
         if len(self.entries) != len(self.row_labels):
             raise ValueError("row count does not match row labels")
         for row in self.entries:

@@ -48,11 +48,12 @@ class TableDocument:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
-        object.__setattr__(self, "row_labels", tuple(str(v) for v in self.row_labels))
-        object.__setattr__(self, "col_labels", tuple(str(v) for v in self.col_labels))
+        # From lists, not generators: exact-size tuples do not fragment the heap.
+        object.__setattr__(self, "row_labels", tuple([str(v) for v in self.row_labels]))
+        object.__setattr__(self, "col_labels", tuple([str(v) for v in self.col_labels]))
         if self.col_class_orders is not None:
             object.__setattr__(self, "col_class_orders", tuple(self.col_class_orders))
-        object.__setattr__(self, "entries", tuple(tuple(r) for r in self.entries))
+        object.__setattr__(self, "entries", tuple([tuple(r) for r in self.entries]))
         if type(self.n) is not int:
             raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.group not in GROUPS:

@@ -46,7 +46,7 @@ class CharacterTable:
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
         object.__setattr__(self, "col_class_orders", tuple(self.col_class_orders))
-        object.__setattr__(self, "entries", tuple(tuple(r) for r in self.entries))
+        object.__setattr__(self, "entries", tuple([tuple(r) for r in self.entries]))
         if len(self.entries) != len(self.row_labels):
             raise ValueError("row count does not match row labels")
         for row in self.entries:
@@ -96,7 +96,7 @@ class TransitionMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "entries", tuple(tuple(r) for r in self.entries))
+        object.__setattr__(self, "entries", tuple([tuple(r) for r in self.entries]))
         n = len(self.labels)
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
             raise ValueError("transition matrix must be square over its labels")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hobchar import oracle, reduction
+from hobchar import cli, oracle, reduction
 from hobchar.cli import run
 from hobchar.combinatorics import Partition
 from hobchar.tables import ExactnessError
@@ -363,6 +363,47 @@ class TestCacheIntegration:
             warnings.simplefilter("error")  # any warning would blow up
             code, _, _ = invoke(capsys, *args, "--quiet")
         assert code == 0
+
+
+class TestParserBuiltOnce:
+    """``run`` parses with the parser built at import and calls the
+    ``cmd_*`` global that is bound when it runs."""
+
+    TABLE = ("table", "--group", "sym", "--n", "4", "--kind", "induced")
+
+    def test_run_does_not_build_a_parser(self, capsys, monkeypatch):
+        def rebuilt():
+            raise RuntimeError("parser rebuilt")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        code, out, _ = invoke(capsys, *self.TABLE, "--no-cache")
+        assert code == 0
+        assert out
+
+    def test_no_option_carries_over_between_calls(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("HOBCHAR_CACHE_DIR", raising=False)
+        code, first, _ = invoke(capsys, *self.TABLE)
+        assert code == 0
+        code, _, err = invoke(capsys, *self.TABLE, "--format", "yaml")
+        assert code == 2
+        assert "invalid choice" in err
+        assert invoke(capsys, *self.TABLE, "--quiet", "--format", "json",
+                      "--cache-dir", str(tmp_path))[0] == 0
+        assert invoke(capsys, *self.TABLE, "--no-cache", "--format", "csv")[0] == 0
+        code, again, _ = invoke(capsys, *self.TABLE)
+        assert code == 0
+        assert again == first
+
+    def test_dispatch_calls_the_rebound_command(self, monkeypatch):
+        calls = []
+
+        def table(args):
+            calls.append((args.command, args.group, args.n, args.kind))
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_table", table)
+        assert run(list(self.TABLE)) == 7
+        assert calls == [("table", "sym", 4, "induced")]
 
 
 # SHA-256 of stdout and the exit code of ``verify`` and ``branch`` in every

@@ -124,6 +124,44 @@ class TestDocuments:
                 assert from_json(to_json(doc)) == doc
 
 
+class TestNormalisation:
+    """``TableDocument`` stores tuples of tuples whatever sequences it is
+    given, and labels as their ``str``."""
+
+    def test_list_and_tuple_input_agree(self):
+        from_lists = TableDocument(
+            "sym", 2, "induced", ["a", "b"], ["c", "d"], [1, 1], [[1, 1], [1, -1]]
+        )
+        from_tuples = TableDocument(
+            "sym", 2, "induced", ("a", "b"), ("c", "d"), (1, 1), ((1, 1), (1, -1))
+        )
+        assert from_lists == from_tuples
+        for doc in (from_lists, from_tuples):
+            for field in (doc.row_labels, doc.col_labels, doc.col_class_orders):
+                assert type(field) is tuple
+            assert type(doc.entries) is tuple
+            assert all(type(row) is tuple for row in doc.entries)
+
+    def test_integer_label_becomes_its_str(self):
+        doc = from_json(json.dumps({
+            "schema_version": 1, "group": "sym", "n": 2, "kind": "induced",
+            "row_labels": [7, "b"], "col_labels": ["c", 11],
+            "col_class_orders": [1, 1], "entries": [[1, 1], [1, -1]],
+        }))
+        assert doc.row_labels == ("7", "b")
+        assert doc.col_labels == ("c", "11")
+
+    def test_true_entry_is_rejected(self):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            TableDocument("sym", 2, "induced", ["a"], ["b"], [1], [[True]])
+
+    def test_stored_table_text_round_trips(self, tmp_path):
+        cache = TableCache(tmp_path)
+        cache.store(document_from(sym_irreducible_table(6)[0], "sym", 6, "irreducible"))
+        text = cache.path("sym", 6, "irreducible").read_text()
+        assert to_json(from_json(text)) == text
+
+
 class TestCache:
     def test_round_trip(self, tmp_path):
         cache = TableCache(tmp_path)
