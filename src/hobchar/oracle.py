@@ -12,13 +12,15 @@ every element; it only avoids repeating work.  Each class is closed by
 conjugating its members by the n generators rather than by every group
 element: every conjugate is one pair from one pass over the points, and
 it is looked up among the enumerated elements in no class yet, so a
-conjugate outside the enumerated group raises ``ExactnessError``.  Each
-class keeps its members, which every subgroup's fixed-coset count then
-reads.  The restriction takes each irreducible row's values at every
-element once, as a flat list, and each multiplicity is one sum of
-products of two such lists.  Rank is capped at ``MAX_RANK``
-(2**6 * 6! = 46080 elements); the coset and restriction brute force stop
-at ``COSET_MAX_RANK``.
+conjugate outside the enumerated group raises ``ExactnessError``.  The
+two class invariants are read off every element as plain tuples of cycle
+lengths, and the ``AlphaSystem`` and ``Partition`` labels are built once
+per class.  Each class keeps its members, which every subgroup's
+fixed-coset count then reads.  The restriction takes each irreducible
+row's values at every element once, as a flat list, and each
+multiplicity is one sum of products of two such lists.  Rank is capped
+at ``MAX_RANK`` (2**6 * 6! = 46080 elements); the coset and restriction
+brute force stop at ``COSET_MAX_RANK``.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ COSET_MAX_RANK = 4  # fixed-coset counts and restriction by summation
 Element = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def alpha_system(g: Element) -> AlphaSystem:
-    """Lengths of the positive and of the negative cycles of ``g``, read
-    off in one walk over its cycles."""
+def _signed_lengths(g: Element) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Lengths of the positive and of the negative cycles of ``g``, each
+    weakly decreasing, read off in one walk over its cycles."""
     perm, signs = g
     seen = [False] * len(perm)
     pos, neg = [], []
@@ -57,10 +59,14 @@ def alpha_system(g: Element) -> AlphaSystem:
             sign *= signs[a]
             a = perm[a] - 1
         (pos if sign == 1 else neg).append(length)
-    return AlphaSystem(
-        Partition(tuple(sorted(pos, reverse=True))),
-        Partition(tuple(sorted(neg, reverse=True))),
-    )
+    pos.sort(reverse=True)
+    neg.sort(reverse=True)
+    return tuple(pos), tuple(neg)
+
+
+def alpha_system(g: Element) -> AlphaSystem:
+    """The signed cycle lengths of ``g`` as a class label."""
+    return AlphaSystem(*map(Partition, _signed_lengths(g)))
 
 
 def conjugate(g: Element, x: Element) -> Element:
@@ -116,8 +122,9 @@ def to_ambient_permutation(g: Element, n: int) -> tuple[int, ...]:
     return (*plus, *[(v + n) % (2 * n) for v in plus])
 
 
-def ambient_cycle_type(g: Element, n: int) -> Partition:
-    """Cycle type of the ambient image of ``g``; independent cycle count."""
+def _ambient_lengths(g: Element, n: int) -> tuple[int, ...]:
+    """Cycle lengths of the ambient image of ``g``, weakly decreasing;
+    an independent cycle count."""
     images = to_ambient_permutation(g, n)
     seen = [False] * (2 * n)
     lengths = []
@@ -131,7 +138,13 @@ def ambient_cycle_type(g: Element, n: int) -> Partition:
             length += 1
             a = images[a]
         lengths.append(length)
-    return Partition(tuple(sorted(lengths, reverse=True)))
+    lengths.sort(reverse=True)
+    return tuple(lengths)
+
+
+def ambient_cycle_type(g: Element, n: int) -> Partition:
+    """Cycle type of the ambient image of ``g``; independent cycle count."""
+    return Partition(_ambient_lengths(g, n))
 
 
 @dataclass(frozen=True)
@@ -168,8 +181,9 @@ def oracle_class_data(n: int) -> tuple[OracleClass, ...]:
     occurrence in the element enumeration; the representative is the
     lexicographically minimal member, and the members are kept for the
     fixed-coset counts.  The signed cycle lengths and the ambient cycle
-    type are read off every member and must be constant on the class; the
-    class sizes must sum to the 2**n n! elements enumerated.
+    lengths are read off every member as tuples and must be constant on
+    the class; the class's two labels are built from them once.  The class
+    sizes must sum to the 2**n n! elements enumerated.
     """
     _check_rank(n)
     elements = enumerate_group(n)
@@ -198,20 +212,22 @@ def oracle_class_data(n: int) -> tuple[OracleClass, ...]:
                 members.add(c)
                 queue.append(c)
         rep = min(members)
-        alphas = {alpha_system(c) for c in members}
-        ambients = {ambient_cycle_type(c, n) for c in members}
-        if len(alphas) != 1 or len(ambients) != 1:
+        signed = {_signed_lengths(c) for c in members}
+        ambients = {_ambient_lengths(c, n) for c in members}
+        if len(signed) != 1 or len(ambients) != 1:
+            alphas = {AlphaSystem(*map(Partition, lengths)) for lengths in signed}
+            ambient_types = {Partition(a) for a in ambients}
             raise ExactnessError(
                 f"class of {rep!r}: signed cycles {sorted(map(str, alphas))} and "
-                f"ambient cycle type {sorted(map(str, ambients))} not constant on the class"
+                f"ambient cycle type {sorted(map(str, ambient_types))} not constant on the class"
             )
-        (alpha,), (ambient,) = alphas, ambients
+        (lengths,), (ambient,) = signed, ambients
         out.append(
             OracleClass(
-                alpha=alpha,
+                alpha=AlphaSystem(*map(Partition, lengths)),
                 size=len(members),
                 representative=rep,
-                ambient=ambient,
+                ambient=Partition(ambient),
                 members=frozenset(members),
             )
         )
@@ -305,13 +321,14 @@ def oracle_restriction(n: int) -> BranchingMatrix:
 
     x, _ = sym_irreducible_table(2 * n)
     y, _ = hob_irreducible_table(n)
-    x_col = {ct: c for c, ct in enumerate(x.col_labels)}
-    y_col = {alpha: c for c, alpha in enumerate(y.col_labels)}
+    # columns keyed by plain cycle-length tuples: no label built per element
+    x_col = {ct.parts: c for c, ct in enumerate(x.col_labels)}
+    y_col = {(a.pos.parts, a.neg.parts): c for c, a in enumerate(y.col_labels)}
     elements = enumerate_group(n)
     order = len(elements)
     # each irreducible row's value at every element, as one flat list
-    x_of = [x_col[ambient_cycle_type(g, n)] for g in elements]
-    y_of = [y_col[alpha_system(g)] for g in elements]
+    x_of = [x_col[_ambient_lengths(g, n)] for g in elements]
+    y_of = [y_col[_signed_lengths(g)] for g in elements]
     x_vals = [[row[a] for a in x_of] for row in x.entries]
     y_vals = [[row[b] for b in y_of] for row in y.entries]
     entries = []

@@ -6,7 +6,6 @@ import pytest
 
 from hobchar import cli, oracle, reduction
 from hobchar.cli import run
-from hobchar.combinatorics import Partition
 from hobchar.tables import ExactnessError
 from hobchar.serialize import CacheWarning, from_json
 
@@ -47,12 +46,12 @@ class TestExitCodes:
     def test_oracle_invariant_fault_exits_cleanly(self, capsys, monkeypatch):
         # an ambient cycle type that varies within a class is an arithmetic
         # fault of the oracle, reported like any other
-        real = oracle.ambient_cycle_type
+        real = oracle._ambient_lengths
 
         def uneven(g, n):
-            return Partition((4,)) if g[1][0] == -1 else real(g, n)
+            return (4,) if g[1][0] == -1 else real(g, n)
 
-        monkeypatch.setattr(oracle, "ambient_cycle_type", uneven)
+        monkeypatch.setattr(oracle, "_ambient_lengths", uneven)
         oracle.oracle_class_data.cache_clear()
         try:
             code, out, err = invoke(capsys, "verify", "--check", "oracle", "--n", "2")

@@ -7,6 +7,7 @@ import pytest
 
 from hobchar.combinatorics import Partition
 from hobchar.hyperoct import (
+    AlphaSystem,
     SignedSubgroupLabel,
     group_order,
     hob_classes,
@@ -174,18 +175,60 @@ class TestClassData:
     def test_varying_ambient_type_raises_exactness_error(self, monkeypatch):
         # the two single flips (-1, 1) and (1, -1) form one rank-2 class;
         # give only the first an ambient 4-cycle
-        real = oracle.ambient_cycle_type
+        real = oracle._ambient_lengths
 
         def uneven(g, n):
-            return Partition((4,)) if g[1][0] == -1 else real(g, n)
+            return (4,) if g[1][0] == -1 else real(g, n)
 
-        monkeypatch.setattr(oracle, "ambient_cycle_type", uneven)
+        monkeypatch.setattr(oracle, "_ambient_lengths", uneven)
         oracle_class_data.cache_clear()
         try:
-            with pytest.raises(ExactnessError, match="not constant on the class"):
+            with pytest.raises(ExactnessError, match="not constant on the class") as excinfo:
                 oracle_class_data(2)
         finally:
             oracle_class_data.cache_clear()
+        # the report names every invariant by its label, as text
+        assert str(excinfo.value) == (
+            "class of ((1, 2), (-1, 1)): signed cycles ['1+:1;1-:1'] and "
+            "ambient cycle type ['2,1,1', '4'] not constant on the class"
+        )
+
+    def test_varying_signed_type_raises_exactness_error(self, monkeypatch):
+        # in the same class of single flips, give only the flip at point 1
+        # one positive 2-cycle
+        real = oracle._signed_lengths
+
+        def uneven(g):
+            return ((2,), ()) if g == ((1, 2), (-1, 1)) else real(g)
+
+        monkeypatch.setattr(oracle, "_signed_lengths", uneven)
+        oracle_class_data.cache_clear()
+        try:
+            with pytest.raises(ExactnessError, match="not constant on the class") as excinfo:
+                oracle_class_data(2)
+        finally:
+            oracle_class_data.cache_clear()
+        assert str(excinfo.value) == (
+            "class of ((1, 2), (-1, 1)): signed cycles ['1+:1;1-:1', '2+:1'] and "
+            "ambient cycle type ['2,1,1'] not constant on the class"
+        )
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+    def test_class_labels_are_built_from_the_length_tuples(self, n):
+        # one label per class, equal to the wrapper's label at the
+        # representative; below rank 4 every element's wrapper is checked
+        # against the tuple it wraps
+        for cls in oracle_class_data(n):
+            g = cls.representative
+            assert type(cls.alpha) is AlphaSystem
+            assert cls.alpha == alpha_system(g)
+            assert type(cls.ambient) is Partition
+            assert cls.ambient == ambient_cycle_type(g, n)
+        if n <= 3:
+            for g in enumerate_group(n):
+                pos, neg = oracle._signed_lengths(g)
+                assert alpha_system(g) == AlphaSystem(Partition(pos), Partition(neg))
+                assert ambient_cycle_type(g, n) == Partition(oracle._ambient_lengths(g, n))
 
     def test_conjugate_outside_the_enumeration_raises_exactness_error(self, monkeypatch):
         # drop the single flip at point 1: conjugating the flip at point 2
