@@ -1,5 +1,5 @@
 """Partitions, sign-flag vectors and the cycle-placement recursion that
-fills the induced tables.
+fills both induced tables through one entry point, :func:`induced_column`.
 
 Everything here is exact integer combinatorics.  The orderings are part of
 the API: table rows and columns downstream are compared entry-by-entry
@@ -92,7 +92,7 @@ def sign_flag_vectors(partition: Partition) -> tuple[tuple[int, ...], ...]:
 
 def _place(cycles, memo, i, states):
     """Placements of ``cycles[i:]`` into parts in the sorted ``states``,
-    memoized in ``memo[i]``; see :func:`_placement_counter`."""
+    memoized in ``memo[i]``; see :func:`induced_column`."""
     if i == len(cycles):
         return 1
     known = memo[i].get(states)
@@ -118,70 +118,36 @@ def _place(cycles, memo, i, states):
     return total
 
 
-def _placement_counter(cycles):
-    """One column's counter: ``count(parts, flags)`` is the number of ways
-    to put each labelled cycle into a part so that every part is filled
-    exactly and every flag-1 part holds an even number of negative cycles.
+def induced_column(pos, neg, rows) -> tuple[int, ...]:
+    """Values of the induced characters of the subgroups ``rows``, (parts,
+    flags) pairs, at the class whose positive cycles have the lengths
+    ``pos`` and whose negative cycles have the lengths ``neg``.
 
-    ``cycles`` lists (length, 1 if negative else 0), longest first.  The
-    recursion places one cycle at a time; a part's state is (remaining
-    capacity, flag, parity of the negative cycles it holds), and a filled
-    part leaves the state.  Each subproblem is memoized on (cycle index,
-    sorted states) for as long as the counter lives, so every row of the
-    column shares the memo whatever order the rows come in; parts in equal
-    states are counted once, times their number.  The recursion is a
-    module function, not a closure: a recursive closure refers to itself,
-    and that cycle would keep the memo alive until the garbage collector
-    runs instead of freeing it with the counter.
+    For the rank-N group a row names a canonical subgroup; for S_n, with
+    ``neg`` empty and every flag 0, a Young subgroup.  A value is 2 per
+    flag-1 part times the number of ways to put each labelled cycle into a
+    part so that every part is filled exactly and every flag-1 part holds
+    an even number of negative cycles; with no flags that is the
+    coefficient of x^parts in the power-sum product p_pos (Macdonald,
+    I.6).  A total-weight mismatch gives 0.
+
+    The recursion places one cycle at a time, longest first; a part's
+    state is (remaining capacity, flag, parity of the negative cycles it
+    holds), and a filled part leaves the state.  Each subproblem is
+    memoized on (cycle index, sorted states) for the whole call, so every
+    row of the column shares the memo whatever order the rows come in;
+    parts in equal states are counted once, times their number.  The memo
+    is a local of this call and ``_place`` a module function, so no
+    reference cycle keeps the memo alive after the call returns.
     """
-    cycles = tuple(cycles)
+    cycles = sorted([(p, 0) for p in pos] + [(p, 1) for p in neg], reverse=True)
     weight = sum(length for length, _ in cycles)
     memo = [{} for _ in cycles]
-
-    def count(parts, flags):
+    out = []
+    for parts, flags in rows:
         if sum(parts) != weight:
-            return 0
+            out.append(0)
+            continue
         states = tuple(sorted(((p, f, 0) for p, f in zip(parts, flags)), reverse=True))
-        return _place(cycles, memo, 0, states)
-
-    return count
-
-
-def induced_column(cycle_type, rows) -> tuple[int, ...]:
-    """Values of the S_n characters induced from the trivial characters of
-    the Young subgroups with the parts in ``rows``, at the class with the
-    weakly decreasing cycle lengths ``cycle_type``; one counter serves the
-    whole column.
-
-    A value counts the ways to put each labelled cycle into a part so that
-    every part is filled exactly: the coefficient of x^parts in the
-    product of power sums p_mu (Macdonald, I.6).  A total-weight mismatch
-    gives 0.
-    """
-    count = _placement_counter((length, 0) for length in cycle_type)
-    return tuple(count(parts, (0,) * len(parts)) for parts in rows)
-
-
-def induced_value(cycle_type, parts) -> int:
-    """One cell of :func:`induced_column`."""
-    return induced_column(cycle_type, [parts])[0]
-
-
-def signed_induced_column(pos, neg, rows) -> tuple[int, ...]:
-    """Values of the rank-N characters induced from the identities of the
-    canonical subgroups ``rows``, (parts, flags) pairs, at the class whose
-    positive cycles have the lengths ``pos`` and whose negative cycles
-    have the lengths ``neg``; one counter serves the whole column.
-
-    A value is 2 per flag-1 part times the placements of labelled cycles
-    that fill every part exactly and put an even number of negative cycles
-    into each flag-1 part.  A total-weight mismatch gives 0.
-    """
-    cycles = [(length, 0) for length in pos] + [(length, 1) for length in neg]
-    count = _placement_counter(sorted(cycles, reverse=True))
-    return tuple((1 << sum(flags)) * count(parts, flags) for parts, flags in rows)
-
-
-def signed_induced_value(pos, neg, parts, flags) -> int:
-    """One cell of :func:`signed_induced_column`."""
-    return signed_induced_column(pos, neg, [(parts, flags)])[0]
+        out.append((1 << sum(flags)) * _place(cycles, memo, 0, states))
+    return tuple(out)

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from hobchar.combinatorics import (
-    Partition,
-    partitions,
-    sign_flag_vectors,
-    signed_induced_column,
-)
+from hobchar.combinatorics import Partition, induced_column, partitions, sign_flag_vectors
 from hobchar.tables import CharacterTable, exact_div, weighted_gram_schmidt
 
 
@@ -105,11 +100,6 @@ class SignedSubgroupLabel:
             order *= 2 ** (p - f) * factorial(p)
         return order
 
-    def index(self) -> int:
-        return exact_div(
-            group_order(self.weight), self.subgroup_order(), f"index of subgroup {self.label!r}"
-        )
-
     def alpha_system(self) -> AlphaSystem:
         """The paired class: each part becomes one cycle of that length,
         positive when its flag is 1."""
@@ -151,7 +141,7 @@ def hob_induced_table(n: int) -> CharacterTable:
     classes, computed a column at a time."""
     classes = hob_classes(n)
     subgroups = [(label.partition.parts, label.flags) for label, _ in hob_subgroups(n)]
-    columns = [signed_induced_column(a.pos.parts, a.neg.parts, subgroups) for a, _ in classes]
+    columns = [induced_column(a.pos.parts, a.neg.parts, subgroups) for a, _ in classes]
     return CharacterTable(
         row_labels=tuple(label for label, _ in hob_subgroups(n)),
         col_labels=tuple(a for a, _ in classes),

@@ -16,11 +16,13 @@ conjugate outside the enumerated group raises ``ExactnessError``.  The
 two class invariants are read off every element as plain tuples of cycle
 lengths, and the ``AlphaSystem`` and ``Partition`` labels are built once
 per class.  Each class keeps its members, which every subgroup's
-fixed-coset count then reads.  The restriction takes each irreducible
-row's values at every element once, as a flat list, and each
-multiplicity is one sum of products of two such lists.  Rank is capped
-at ``MAX_RANK`` (2**6 * 6! = 46080 elements); the coset and restriction
-brute force stop at ``COSET_MAX_RANK``.
+fixed-coset count then reads.  A canonical subgroup's element
+concatenates one (perm, signs) pair per block, each block's pairs built
+straight from ``itertools``.  The restriction takes each irreducible row's
+values at every element once, as a flat list, and each multiplicity is
+one sum of products of two such lists.  Rank is capped at ``MAX_RANK``
+(2**6 * 6! = 46080 elements); the coset and restriction brute force stop
+at ``COSET_MAX_RANK``.
 """
 
 from __future__ import annotations
@@ -240,41 +242,28 @@ def oracle_class_data(n: int) -> tuple[OracleClass, ...]:
     return tuple(out)
 
 
-def _block_elements(coords, flag):
-    """All signed permutations of one subgroup block, as (mapping, signs)
-    dicts over the block's coordinates; flag 1 keeps only even numbers of
-    minus signs."""
-    out = []
-    for perm in itertools.permutations(coords):
-        mapping = dict(zip(coords, perm))
-        for signs in itertools.product((1, -1), repeat=len(coords)):
-            if flag and signs.count(-1) % 2:
-                continue
-            out.append((mapping, dict(zip(coords, signs))))
-    return out
-
-
 def subgroup_elements(n: int, label: SignedSubgroupLabel) -> tuple[Element, ...]:
-    """The concrete canonical subgroup on consecutive coordinate blocks."""
+    """The concrete canonical subgroup on consecutive coordinate blocks.
+
+    Each block is every (perm, signs) pair on its own points, the perms
+    from ``itertools.permutations`` and, for a flag-1 block, only the sign
+    tuples with an even number of minus signs; an element is one pair per
+    block, concatenated."""
     _check_rank(n)
     if label.weight != n:
         raise ValueError("subgroup label has the wrong weight")
     blocks = []
-    start = 1
+    start = 0
     for part, flag in zip(label.partition, label.flags):
-        coords = tuple(range(start, start + part))
-        blocks.append(_block_elements(coords, flag))
+        signs = itertools.product((1, -1), repeat=part)
+        signs = [s for s in signs if not flag or s.count(-1) % 2 == 0]
+        perms = itertools.permutations(range(start + 1, start + part + 1))
+        blocks.append([(perm, s) for perm in perms for s in signs])
         start += part
     out = []
     for combo in itertools.product(*blocks):
-        perm = list(range(1, n + 1))
-        signs = [1] * n
-        for mapping, block_signs in combo:
-            for c, v in mapping.items():
-                perm[c - 1] = v
-            for c, s in block_signs.items():
-                signs[c - 1] = s
-        out.append((tuple(perm), tuple(signs)))
+        perms, signs = zip(*combo)
+        out.append((sum(perms, ()), sum(signs, ())))
     if len(out) != label.subgroup_order():
         raise ExactnessError(
             f"subgroup {label!r} has {len(out)} elements, expected {label.subgroup_order()}"

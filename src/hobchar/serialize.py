@@ -204,7 +204,7 @@ class TableCache:
             doc = from_json(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             return None
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             warnings.warn(f"ignoring cache file {path}: {exc}", CacheWarning)
             return None
         if (doc.group, doc.n, doc.kind) != (group, n, kind):

@@ -42,8 +42,8 @@ def sym_induced_table(n: int) -> CharacterTable:
     """The induced table: rows over partitions of n, columns over classes,
     computed a column at a time."""
     classes = sym_classes(n)
-    parts = [lam.parts for lam in partitions(n)]
-    columns = [induced_column(ct.parts, parts) for ct, _ in classes]
+    rows = [(lam.parts, (0,) * len(lam)) for lam in partitions(n)]
+    columns = [induced_column(ct.parts, (), rows) for ct, _ in classes]
     return CharacterTable(
         row_labels=partitions(n),
         col_labels=tuple(ct for ct, _ in classes),

@@ -285,29 +285,28 @@ def even_partition_count(m):
 def sym_induced_char(lam, cycle_type):
     """Value at ``cycle_type`` of the character induced from the identity of
     the parabolic (Young-type) subgroup for ``lam``."""
-    from hobchar.combinatorics import induced_value
+    from hobchar.combinatorics import induced_column
 
     if lam.weight != cycle_type.weight:
         raise ValueError(
             f"weight mismatch: partition {lam.label!r} has weight {lam.weight}, "
             f"class {cycle_type.label!r} has weight {cycle_type.weight}"
         )
-    return induced_value(cycle_type.parts, lam.parts)
+    return induced_column(cycle_type.parts, (), [(lam.parts, (0,) * len(lam))])[0]
 
 
 def hob_induced_char(subgroup, alpha):
     """Value at class ``alpha`` of the character induced from the identity
     of the canonical subgroup ``subgroup``, by the package's signed kernel."""
-    from hobchar.combinatorics import signed_induced_value
+    from hobchar.combinatorics import induced_column
 
     if subgroup.weight != alpha.weight:
         raise ValueError(
             f"weight mismatch: subgroup {subgroup.label!r} has weight "
             f"{subgroup.weight}, class {alpha.label!r} has weight {alpha.weight}"
         )
-    return signed_induced_value(
-        alpha.pos.parts, alpha.neg.parts, subgroup.partition.parts, subgroup.flags
-    )
+    rows = [(subgroup.partition.parts, subgroup.flags)]
+    return induced_column(alpha.pos.parts, alpha.neg.parts, rows)[0]
 
 
 def parse_csv(text):

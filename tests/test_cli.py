@@ -296,7 +296,7 @@ class TestCacheIntegration:
         # recomputed result was re-stored intact
         assert from_json(path.read_text()).entries[0] == (1, 1, 1, 1, 1)
 
-    @pytest.mark.parametrize("corruption", ["non-int numbers", "not utf-8"])
+    @pytest.mark.parametrize("corruption", ["non-int numbers", "not utf-8", "deeply nested"])
     def test_corrupt_cache_gives_the_right_table(self, capsys, tmp_path, corruption):
         args = (
             "table", "--group", "sym", "--n", "3", "--kind", "irreducible",
@@ -307,6 +307,9 @@ class TestCacheIntegration:
         path = tmp_path / "sym-3-irreducible.json"
         if corruption == "not utf-8":
             path.write_bytes(b"\xff\xfe")
+        elif corruption == "deeply nested":
+            # the JSON decoder gives up on this with a RecursionError
+            path.write_text("[" * 100000 + "]" * 100000)
         else:
             data = json.loads(path.read_text())
             data["entries"][0][0] = 2.9

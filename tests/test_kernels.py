@@ -12,18 +12,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hobchar.combinatorics import (
-    induced_column,
-    induced_value,
-    partitions,
-    sign_flag_vectors,
-    signed_induced_column,
-    signed_induced_value,
-)
+from hobchar.combinatorics import induced_column, partitions, sign_flag_vectors
 from hobchar.hyperoct import hob_induced_table
 from hobchar.symmetric import sym_induced_table
 
 from _oracles import induced_value_by_expansion, signed_induced_value_by_expansion
+
+
+def cell(pos, neg, parts, flags):
+    """One cell of the kernel: a column of one row."""
+    return induced_column(pos, neg, [(parts, flags)])[0]
+
+
+def sym_cell(cycle_type, parts):
+    """One S_n cell: no negative cycles, every flag 0."""
+    return cell(cycle_type, (), parts, (0,) * len(parts))
+
+
+def sym_rows(rows):
+    """S_n rows as the kernel's (parts, flags) pairs."""
+    return [(parts, (0,) * len(parts)) for parts in rows]
 
 
 def signed_class(mu, negative):
@@ -39,7 +47,7 @@ def test_unsigned_full_grid(n):
     for lam in partitions(n):
         for mu in partitions(n):
             want = induced_value_by_expansion(mu.parts, lam.parts)
-            assert induced_value(mu.parts, lam.parts) == want
+            assert sym_cell(mu.parts, lam.parts) == want
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -53,7 +61,7 @@ def test_signed_full_grid(n):
         for flags in itertools.product((0, 1), repeat=len(lam)):
             for pos, neg in classes:
                 want = signed_induced_value_by_expansion(pos, neg, lam.parts, flags)
-                assert signed_induced_value(pos, neg, lam.parts, flags) == want
+                assert cell(pos, neg, lam.parts, flags) == want
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -78,31 +86,31 @@ def test_hob_induced_table_cells(n):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_column_memo_ignores_row_order(seed):
-    # one counter serves a whole column; rows of other weights, which miss
-    # the memo, are mixed in, and every value must match a fresh counter
+    # one memo serves a whole column; rows of other weights, which miss
+    # the memo, are mixed in, and every value must match a one-row column
     rng = random.Random(seed)
     rows = [lam.parts for m in (6, 7, 8) for lam in partitions(m)]
     for mu in partitions(7):
         shuffled = rng.sample(rows, len(rows))
-        want = [induced_value(mu.parts, parts) for parts in shuffled]
-        assert list(induced_column(mu.parts, shuffled)) == want
+        want = [sym_cell(mu.parts, parts) for parts in shuffled]
+        assert list(induced_column(mu.parts, (), sym_rows(shuffled))) == want
     subgroups = [(lam.parts, flags) for m in (4, 5) for lam in partitions(m)
                  for flags in itertools.product((0, 1), repeat=len(lam))]
     for mu in partitions(5):
         pos, neg = signed_class(mu, [rng.randint(0, 1) for _ in mu])
         shuffled = rng.sample(subgroups, len(subgroups))
-        want = [signed_induced_value(pos, neg, parts, flags) for parts, flags in shuffled]
-        assert list(signed_induced_column(pos, neg, shuffled)) == want
+        want = [cell(pos, neg, parts, flags) for parts, flags in shuffled]
+        assert list(induced_column(pos, neg, shuffled)) == want
 
 
 def test_column_memo_is_freed_with_its_counter():
-    # the memo must go when the column is done, by reference counting
+    # the memo must go when the call returns, by reference counting
     # alone: a reference cycle would keep it until the collector runs
     gc.collect()
     gc.disable()
     try:
-        induced_column((1,) * 8, [lam.parts for lam in partitions(8)])
-        signed_induced_column((1,) * 3, (1,), [((2, 2), (0, 1)), ((3, 1), (1, 0))])
+        induced_column((1,) * 8, (), sym_rows(lam.parts for lam in partitions(8)))
+        induced_column((1,) * 3, (1,), [((2, 2), (0, 1)), ((3, 1), (1, 0))])
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -114,7 +122,7 @@ def test_random_unsigned_cells(n, data):
     lam = data.draw(st.sampled_from(partitions(n)))
     mu = data.draw(st.sampled_from(partitions(n)))
     want = induced_value_by_expansion(mu.parts, lam.parts)
-    assert induced_value(mu.parts, lam.parts) == want
+    assert sym_cell(mu.parts, lam.parts) == want
 
 
 @given(st.integers(min_value=1, max_value=5), st.data())
@@ -125,23 +133,23 @@ def test_random_signed_cells(n, data):
     mu = data.draw(st.sampled_from(partitions(n)))
     pos, neg = signed_class(mu, data.draw(st.tuples(*(st.integers(0, 1) for _ in mu))))
     want = signed_induced_value_by_expansion(pos, neg, lam.parts, flags)
-    assert signed_induced_value(pos, neg, lam.parts, flags) == want
+    assert cell(pos, neg, lam.parts, flags) == want
 
 
 def test_weight_mismatch_is_zero():
-    assert induced_value((1,), (2,)) == 0
+    assert sym_cell((1,), (2,)) == 0
     # one 2-cycle cannot fill two parts of size 1
-    assert induced_value((2,), (1, 1)) == 0
-    assert signed_induced_value((1,), (), (2,), (0,)) == 0
-    assert signed_induced_value((), (2,), (3,), (1,)) == 0
+    assert sym_cell((2,), (1, 1)) == 0
+    assert cell((1,), (), (2,), (0,)) == 0
+    assert cell((), (2,), (3,), (1,)) == 0
     # one negative 2-cycle cannot fill two parts of size 1
-    assert signed_induced_value((), (2,), (1, 1), (0, 0)) == 0
+    assert cell((), (2,), (1, 1), (0, 0)) == 0
 
 
 def test_odd_parity_in_flagged_part_is_zero():
     # one positive and one negative 1-cycle cannot fill a flag-1 part
-    assert signed_induced_value((1,), (1,), (2,), (1,)) == 0
-    assert signed_induced_value((1,), (1,), (2,), (0,)) == 1
+    assert cell((1,), (1,), (2,), (1,)) == 0
+    assert cell((1,), (1,), (2,), (0,)) == 1
 
 
 # Past the int64 range: 21! and 2**17 * 17! both exceed 2**63.
@@ -157,8 +165,8 @@ def test_identity_column_is_index_past_int64():
     rows = sample(partitions(DEGREE), 40) + [partitions(DEGREE)[-1]]
     for lam in rows:
         index = factorial(DEGREE) // prod(map(factorial, lam))
-        assert induced_value((1,) * DEGREE, lam.parts) == index
-    assert induced_value((1,) * DEGREE, (1,) * DEGREE) == factorial(DEGREE) > 2**63
+        assert sym_cell((1,) * DEGREE, lam.parts) == index
+    assert sym_cell((1,) * DEGREE, (1,) * DEGREE) == factorial(DEGREE) > 2**63
 
 
 def test_signed_identity_column_is_index_past_int64():
@@ -171,14 +179,14 @@ def test_signed_identity_column_is_index_past_int64():
     for lam, flags in labels:
         subgroup = prod(2 ** (p - f) * factorial(p) for p, f in zip(lam, flags))
         index = 2**RANK * factorial(RANK) // subgroup
-        assert signed_induced_value((1,) * RANK, (), lam.parts, flags) == index
-    assert signed_induced_value((1,) * RANK, (), (1,) * RANK, (1,) * RANK) > 2**63
+        assert cell((1,) * RANK, (), lam.parts, flags) == index
+    assert cell((1,) * RANK, (), (1,) * RANK, (1,) * RANK) > 2**63
 
 
 def test_whole_group_row_is_ones():
     for mu in partitions(DEGREE):
-        assert induced_value(mu.parts, (DEGREE,)) == 1
+        assert sym_cell(mu.parts, (DEGREE,)) == 1
     rng = random.Random(0)
     for mu in sample(partitions(RANK), 60):
         pos, neg = signed_class(mu, [rng.randint(0, 1) for _ in mu])
-        assert signed_induced_value(pos, neg, (RANK,), (0,)) == 1
+        assert cell(pos, neg, (RANK,), (0,)) == 1

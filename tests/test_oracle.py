@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import random
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -302,9 +304,13 @@ class TestInducedCharacters:
             assert all(mul(a, b) in members for a in members for b in members)
 
     def test_subgroup_order_mismatch_raises_exactness_error(self, monkeypatch):
-        real = oracle._block_elements
-        monkeypatch.setattr(oracle, "_block_elements", lambda coords, flag: real(coords, flag)[1:])
-        with pytest.raises(ExactnessError, match="7 elements, expected 8"):
+        # a block that loses its first permutation loses 4 of the 8 elements
+        lossy = SimpleNamespace(
+            permutations=lambda points: list(itertools.permutations(points))[1:],
+            product=itertools.product,
+        )
+        monkeypatch.setattr(oracle, "itertools", lossy)
+        with pytest.raises(ExactnessError, match="4 elements, expected 8"):
             subgroup_elements(2, sub((2,), (0,)))
 
     def test_whole_group_row(self):
