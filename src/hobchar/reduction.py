@@ -12,7 +12,7 @@ from hobchar.embedding import modified_tables
 from hobchar.hyperoct import hob_induced_table, hob_irreducible_table
 from hobchar.reports import CheckReport, compare_matrices
 from hobchar.symmetric import sym_irreducible_table
-from hobchar.tables import CharacterTable, ExactnessError, mat_mul, triangular_solve
+from hobchar.tables import CharacterTable, ExactnessError, exact_div, mat_mul, triangular_solve
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,8 @@ def restriction_matrix(restricted: CharacterTable, y: CharacterTable) -> Branchi
     if restricted.col_labels != y.col_labels:
         raise ValueError("restricted table must be re-columned over the classes of y")
     what = "restriction multiplicity"
-    weighted = [y.weigh(y_row) for y_row in y.entries]
-    entries = [[y.inner(row, w, what) for w in weighted] for row in restricted.entries]
+    sums = mat_mul(restricted.entries, tuple(zip(*map(y.weigh, y.entries))))
+    entries = [[exact_div(s, y.group_order, what) for s in row] for row in sums]
     for row in entries:
         for v in row:
             if v < 0:

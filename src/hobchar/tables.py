@@ -5,12 +5,20 @@ point is banned from this package because every quantity it produces is an
 exact integer and any rounding would be a silent bug.  A weighted inner
 product is an integer class sum divided once by the group order, and a
 remainder raises :class:`ExactnessError`.
+
+Every p^3 stage is one exact product.  A row of integers is packed into one
+Python int with a fixed-width signed slot per entry (Kronecker
+substitution), so a row of a product is a sum of scalar x packed-row
+products done in C.  A slot's width comes from a bound on every value it
+must hold, and decoding reads the slots off byte-aligned; anything left
+above the top slot raises :class:`ExactnessError` rather than alias.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 
@@ -81,11 +89,6 @@ class CharacterTable:
         inner product times the group order, an exact integer."""
         return sum(map(mul, u, weighted))
 
-    def inner(self, u, weighted, what="inner product"):
-        """Weighted inner product sum_c (|c| / |G|) u_c v_c for
-        ``weighted = self.weigh(v)``, which must be an integer."""
-        return exact_div(self.class_sum(u, weighted), self.group_order, what)
-
 
 @dataclass(frozen=True)
 class TransitionMatrix:
@@ -111,6 +114,42 @@ class TransitionMatrix:
         return len(self.labels)
 
 
+def _slot_bytes(bound):
+    """Bytes of the narrowest slot that holds every integer in
+    [-bound, bound] as a signed value."""
+    return bound.bit_length() // 8 + 1
+
+
+def _offset(count, nbytes):
+    """The top bit of each of ``count`` slots of ``nbytes`` bytes."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
+
+
+def _pack(values, nbytes):
+    """sum_j values[j] * 256**(nbytes * j), one signed slot per value; a
+    value too wide for its slot raises :class:`ExactnessError`."""
+    try:
+        raw = b"".join([v.to_bytes(nbytes, "little", signed=True) for v in values])
+    except OverflowError:
+        raise ExactnessError(f"a value overflows its slot of {nbytes} bytes") from None
+    offset = _offset(len(values), nbytes)
+    return (int.from_bytes(raw, "little") ^ offset) - offset
+
+
+def _unpack(packed, count, nbytes):
+    """The ``count`` signed slots of ``packed``, lowest first; anything
+    left above the top slot raises :class:`ExactnessError`."""
+    offset = _offset(count, nbytes)
+    try:
+        raw = ((packed + offset) ^ offset).to_bytes(count * nbytes, "little")
+    except OverflowError:
+        raise ExactnessError(f"packed product overflows {count} slots of {nbytes} bytes") from None
+    return [
+        int.from_bytes(raw[i : i + nbytes], "little", signed=True)
+        for i in range(0, len(raw), nbytes)
+    ]
+
+
 def weighted_gram_schmidt(table: CharacterTable):
     """Orthonormalize the rows of ``table`` under its class weights, exactly.
 
@@ -124,50 +163,59 @@ def weighted_gram_schmidt(table: CharacterTable):
     """
     if table.nrows != table.ncols:
         raise ValueError("weighted orthonormalization needs a square table")
-    done: list[tuple[int, ...]] = []
-    weighted: list[tuple[int, ...]] = []
-    trans: list[tuple[int, ...]] = []
-    n = table.nrows
-    for i in range(n):
-        row = table.row(i)
+    n, order = table.nrows, table.group_order
+    done, packed, done_max, trans = [], [], [], []
+    # cols[j] packs column j of the weighed residues, one slot of ``proj``
+    # bytes per residue, so one pass gives every projection sum of a row;
+    # ``packed`` holds the residues in slots of ``width`` bytes
+    cols, col_max, proj, width = [0] * n, [0] * n, 1, 1
+    for i, row in enumerate(table.entries):
+        need = _slot_bytes(max(max(col_max), sum(map(mul, map(abs, row), col_max))))
+        if need > proj:
+            proj = need
+            cols = [_pack(col, proj) for col in zip(*map(table.weigh, done))]
+        sums = _unpack(sum(map(mul, row, cols)), i, proj)
         coeffs = [
-            table.inner(row, w, f"projection coefficient ({i},{k})")
-            for k, w in enumerate(weighted)
+            exact_div(s, order, f"projection coefficient ({i},{k})")
+            for k, s in enumerate(sums)
         ]
-        resid = list(row)
-        for c, x in zip(coeffs, done):
-            if c:
-                resid = [r - c * v for r, v in zip(resid, x)]
-        resid = tuple(resid)
+        need = _slot_bytes(max(map(abs, row)) + sum(map(mul, map(abs, coeffs), done_max)))
+        if need > width:
+            width = need
+            packed = [_pack(d, width) for d in done]
+        resid = tuple(_unpack(_pack(row, width) - sum(map(mul, coeffs, packed)), n, width))
         w = table.weigh(resid)
         norm = table.class_sum(resid, w)
-        if norm != table.group_order:
+        if norm != order:
             raise ExactnessError(
-                f"row {i} residue has squared norm "
-                f"{Fraction(norm, table.group_order)}, expected 1"
+                f"row {i} residue has squared norm {Fraction(norm, order)}, expected 1"
             )
         done.append(resid)
-        weighted.append(w)
+        packed.append(_pack(resid, width))
+        done_max.append(max(map(abs, resid)))
+        shift = 8 * proj * i
+        cols = [c + (x << shift) for c, x in zip(cols, w)]
+        col_max = list(map(max, col_max, map(abs, w)))
         trans.append(tuple(coeffs) + (1,) + (0,) * (n - i - 1))
     ortho = CharacterTable(
         row_labels=table.row_labels,
         col_labels=table.col_labels,
         col_class_orders=table.col_class_orders,
         entries=tuple(done),
-        group_order=table.group_order,
+        group_order=order,
     )
     return ortho, TransitionMatrix(table.row_labels, tuple(trans))
 
 
 def first_orthogonality_failure(table: CharacterTable):
-    """First (i, j, value) where weighted row orthonormality fails, or None."""
-    weighted = [table.weigh(row) for row in table.entries]
-    for i in range(table.nrows):
+    """First (i, j, value) where weighted row orthonormality fails, or None.
+    The pairs are scanned row by row over the upper triangle."""
+    products = mat_mul(table.entries, tuple(zip(*map(table.weigh, table.entries))))
+    for i, row in enumerate(products):
         for j in range(i, table.nrows):
-            got = table.class_sum(table.row(i), weighted[j])
             expected = table.group_order if i == j else 0
-            if got != expected:
-                return (i, j, Fraction(got, table.group_order))
+            if row[j] != expected:
+                return (i, j, Fraction(row[j], table.group_order))
     return None
 
 
@@ -190,18 +238,17 @@ def first_column_orthogonality_failure(table: CharacterTable):
 
 
 def mat_mul(a, b):
-    """Exact matrix product of nested sequences.  Each row of the product
-    adds up the rows of ``b`` scaled by the non-zero entries of a row of
-    ``a``, so zeros of ``a`` cost nothing."""
+    """Exact matrix product of nested sequences.  Each row of ``b`` is
+    packed into one integer, so a row of the product is one sum of
+    scalar x packed-row products, decoded slot by slot.  A slot holds
+    max|a| * max|b| * len(b), which bounds every entry of the product,
+    and at least max|b|, so that the rows of ``b`` fit."""
     width = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [0] * width
-        for x, b_row in zip(row, b):
-            if x:
-                acc = [s + x * y for s, y in zip(acc, b_row)]
-        out.append(tuple(acc))
-    return tuple(out)
+    a_max = max(map(abs, chain.from_iterable(a)), default=0)
+    b_max = max(map(abs, chain.from_iterable(b)), default=0)
+    nbytes = _slot_bytes(max(a_max * len(b), 1) * b_max)
+    packed = [_pack(row, nbytes) for row in b]
+    return tuple([tuple(_unpack(sum(map(mul, row, packed)), width, nbytes)) for row in a])
 
 
 def triangular_solve(rows, pivots, rhs):

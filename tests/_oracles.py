@@ -65,6 +65,34 @@ def naive_mat_mul(a, b, width):
     )
 
 
+def reference_gram_schmidt(table):
+    """The weighted Gram-Schmidt loop entry by entry: each projection
+    coefficient is one class sum divided by the group order, and each
+    residue subtracts the earlier residues one at a time.  Returns the
+    residues and the lower unitriangular transition rows; a non-integral
+    coefficient or a residue of norm other than 1 raises ArithmeticError."""
+    orders, group_order, n = table.col_class_orders, table.group_order, table.nrows
+    done, weighted, trans = [], [], []
+    for i, row in enumerate(table.entries):
+        coeffs = []
+        for k, w in enumerate(weighted):
+            q, r = divmod(sum(u * v for u, v in zip(row, w)), group_order)
+            if r:
+                raise ArithmeticError(f"projection coefficient ({i},{k}) is not integral")
+            coeffs.append(q)
+        resid = list(row)
+        for c, x in zip(coeffs, done):
+            if c:
+                resid = [r - c * v for r, v in zip(resid, x)]
+        w = tuple(o * v for o, v in zip(orders, resid))
+        if sum(u * v for u, v in zip(resid, w)) != group_order:
+            raise ArithmeticError(f"row {i} residue does not have norm 1")
+        done.append(tuple(resid))
+        weighted.append(w)
+        trans.append(tuple(coeffs) + (1,) + (0,) * (n - i - 1))
+    return tuple(done), tuple(trans)
+
+
 def fraction_solve(a, b):
     """The unique X with A X = B over exact rationals, by Gauss-Jordan
     elimination; raises ``ZeroDivisionError`` when A is singular."""

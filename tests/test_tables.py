@@ -4,6 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hobchar import tables
+from hobchar.combinatorics import Partition
+from hobchar.hyperoct import hob_induced_table
+from hobchar.reduction import restriction_matrix
+from hobchar.symmetric import sym_induced_table, sym_irreducible_table
 from hobchar.tables import (
     CharacterTable,
     ExactnessError,
@@ -15,7 +20,7 @@ from hobchar.tables import (
     weighted_gram_schmidt,
 )
 
-from _oracles import fraction_solve, naive_mat_mul, transpose
+from _oracles import fraction_solve, naive_mat_mul, reference_gram_schmidt, transpose
 
 
 def table_of(entries, orders, group_order):
@@ -44,22 +49,20 @@ class TestContainers:
     def test_inner_is_exact(self):
         t = table_of(((1, 1), (1, -1)), (1, 1), 2)
         assert t.class_sum(t.row(0), t.weigh(t.row(0))) == 2
-        assert t.inner(t.row(0), t.weigh(t.row(0))) == 1
-        assert t.inner(t.row(0), t.weigh(t.row(1))) == 0
+        # the weighted inner products of every pair of rows
+        assert restriction_matrix(t, t).entries == ((1, 0), (0, 1))
 
     def test_weigh_multiplies_by_class_orders(self):
         # the S_3 table: classes of orders 1, 3, 2
         t = table_of(((1, 1, 1), (1, -1, 1), (2, 0, -1)), (1, 3, 2), 6)
         assert t.weigh((2, 0, -1)) == (2, 0, -2)
         assert t.class_sum((2, 0, -1), t.weigh((2, 0, -1))) == 6
-        assert [t.inner(u, t.weigh(v)) for u in t.entries for v in t.entries] == [
-            1, 0, 0, 0, 1, 0, 0, 0, 1
-        ]
+        assert restriction_matrix(t, t).entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_inner_raises_on_non_integral_sum(self):
         t = table_of(((1, 1), (1, -1)), (1, 1), 2)
         with pytest.raises(ExactnessError, match="multiplicity is not an exact integer: 1/2"):
-            t.inner((1, 0), t.weigh((1, 0)), "multiplicity")
+            restriction_matrix(table_of(((1, 0),), (1, 1), 2), t)
 
     def test_transition_shape(self):
         with pytest.raises(ValueError):
@@ -87,6 +90,41 @@ class TestGramSchmidt:
         with pytest.raises(ExactnessError):
             weighted_gram_schmidt(t)
 
+    def test_non_integral_coefficient_raises(self):
+        # row 0 has norm 1, but row 1 projects onto it with coefficient 1/2
+        t = table_of(((1, 1), (1, 0)), (1, 1), 2)
+        with pytest.raises(
+            ExactnessError, match=r"projection coefficient \(1,0\) is not an exact integer: 1/2"
+        ):
+            weighted_gram_schmidt(t)
+
+    def test_weighed_entry_wider_than_the_projection_sums(self):
+        # class order 39999 needs a 3-byte slot in the weighed row 0, while
+        # every projection sum of row 1 fits in 2 bytes; the slots must
+        # still hold it, so the run gets to the norm check of row 2
+        t = table_of(((1, 1, 1), (-200, 1, 0), (-199, -199, 1)), (1, 200, 39999), 40200)
+        with pytest.raises(ExactnessError, match="row 2 residue has squared norm 199, expected 1"):
+            weighted_gram_schmidt(t)
+
+    def test_residue_wider_than_its_row(self):
+        # chi = X[5,3,1] minus twice X[7,2] stays below 128 everywhere, as
+        # does X[7,2], but X[5,3,1] reaches 162: the residue of chi needs a
+        # wider slot than chi and every row before it
+        x, _ = sym_irreducible_table(9)
+        a, b = (x.row_labels.index(Partition(p)) for p in ((7, 2), (5, 3, 1)))
+        rest = [r for i, r in enumerate(x.entries) if i not in (a, b)]
+        rows = [x.entries[a], x.entries[b], *rest]
+        chi = tuple(v - 2 * u for u, v in zip(*rows[:2]))
+        assert max(map(abs, rows[0] + chi)) < 128 <= max(map(abs, rows[1]))
+        ortho, trans = weighted_gram_schmidt(
+            table_of((rows[0], chi, *rest), x.col_class_orders, x.group_order)
+        )
+        assert ortho.entries == tuple(rows)
+        assert trans.entries == tuple(
+            tuple(-2 if (i, j) == (1, 0) else int(i == j) for j in range(x.nrows))
+            for i in range(x.nrows)
+        )
+
     def test_identity_reconstruction(self):
         t = table_of(((1, 1, 1), (3, 1, 0), (6, 2, 1)), (1, 3, 2), 6)
         # not a real character table; only the factorization contract matters
@@ -95,6 +133,27 @@ class TestGramSchmidt:
         except ExactnessError:
             return  # acceptable for arbitrary input
         assert mat_mul(trans.entries, ortho.entries) == t.entries
+
+
+def assert_matches_reference(table):
+    ortho, trans = weighted_gram_schmidt(table)
+    assert (ortho.entries, trans.entries) == reference_gram_schmidt(table)
+
+
+class TestGramSchmidtAgainstReference:
+    # the induced tables make every packed slot grow more than once
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_symmetric(self, n):
+        assert_matches_reference(sym_induced_table(n))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_hyperoctahedral(self, n):
+        assert_matches_reference(hob_induced_table(n))
+
+    @pytest.mark.slow
+    def test_degree_16_and_rank_8(self):
+        assert_matches_reference(sym_induced_table(16))
+        assert_matches_reference(hob_induced_table(8))
 
 
 class TestOrthogonalityChecks:
@@ -214,10 +273,23 @@ class TestLinearAlgebra:
         assert mat_mul(a, ((1, 0), (0, 1))) == a
 
 
+def shapes(data):
+    """(m, k, p) for m x k times k x p: m = 1 gives 1 x k left factors,
+    p = 1 gives k x 1 right factors and k = 0 a right factor with no rows,
+    whose product has no columns."""
+    return (data.draw(st.integers(lo, 6), label=name) for name, lo in zip("mkp", (1, 0, 1)))
+
+
 def sparse_matrix(rows, cols):
-    """Small integer matrices, mostly zeros, with negative entries and
-    whole zero rows."""
-    entry = st.one_of(st.just(0), st.just(0), st.integers(-9, 9))
+    """Integer matrices, mostly zeros, with small entries of both signs,
+    entries past 2**200 and whole zero rows."""
+    entry = st.one_of(
+        st.just(0),
+        st.just(0),
+        st.integers(-9, 9),
+        st.integers(2**200, 2**210),
+        st.integers(-(2**210), -(2**200)),
+    )
     row = st.one_of(st.just([0] * cols), st.lists(entry, min_size=cols, max_size=cols))
     return st.lists(row, min_size=rows, max_size=rows)
 
@@ -226,15 +298,65 @@ class TestMatMul:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_matches_row_by_column_product(self, data):
-        # m = 1 gives 1 x k left factors, p = 1 gives k x 1 right factors
-        m, k, p = (data.draw(st.integers(1, 6), label=name) for name in "mkp")
+        m, k, p = shapes(data)
         a = data.draw(sparse_matrix(m, k), label="a")
         b = data.draw(sparse_matrix(k, p), label="b")
         got = mat_mul(a, b)
-        assert got == naive_mat_mul(a, b, p)
+        assert got == naive_mat_mul(a, b, p if k else 0)
         assert all(type(v) is int for row in got for v in row)
 
     def test_zero_rows_and_thin_shapes(self):
         assert mat_mul(((0, 0, 0),), ((1,), (-2,), (3,))) == ((0,),)
         assert mat_mul(((1, 0, -2),), ((1,), (-2,), (3,))) == ((-5,),)
         assert mat_mul(((2,), (0,), (-1,)), ((3, 0, -4),)) == ((6, 0, -8), (0, 0, 0), (-3, 0, 4))
+        assert mat_mul(((), ()), ()) == ((), ())
+
+
+def narrower_slots(monkeypatch):
+    """Make every packed slot one byte narrower than its bound asks for,
+    but at least one byte wide."""
+    slot_bytes = tables._slot_bytes
+    monkeypatch.setattr(tables, "_slot_bytes", lambda bound: max(slot_bytes(bound) - 1, 1))
+
+
+class TestPackedProduct:
+    @pytest.mark.parametrize("nbytes", [1, 2, 3, 8, 26])
+    def test_one_byte_narrower_than_the_bound_aliases(self, nbytes, monkeypatch):
+        # x = 2**(8 * nbytes - 1) is max|a| * max|b| * len(b) here and
+        # needs nbytes + 1 bytes; in nbytes bytes it carries into the next
+        # slot, and x = -x + 1 * 256**nbytes decodes as (-x, 1) with
+        # nothing left above the top slot
+        x = 1 << (8 * nbytes - 1)
+        a, b = ((x,),), ((1, 0),)
+        assert mat_mul(a, b) == ((x, 0),)
+        narrower_slots(monkeypatch)
+        assert mat_mul(a, b) == ((-x, 1),)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_overflow_above_the_top_slot_raises(self, sign, monkeypatch):
+        # |x| = 2**23 + 1 needs 4 bytes; in 3 it leaves a carry above the
+        # top slot, or a borrow below zero
+        x = sign * ((1 << 23) + 1)
+        narrower_slots(monkeypatch)
+        with pytest.raises(ExactnessError, match="packed product overflows 1 slots of 3 bytes"):
+            mat_mul(((x,),), ((1,),))
+
+    def test_value_too_wide_for_its_slot_raises(self):
+        with pytest.raises(ExactnessError, match="a value overflows its slot of 1 bytes"):
+            tables._pack((1, 128), 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_narrower_single_column_raises_or_is_right(self, data):
+        # with one column the only slot is the top slot, so an overflow
+        # can only raise: the product is never a wrong matrix
+        m, k, _ = shapes(data)
+        a = data.draw(sparse_matrix(m, k), label="a")
+        b = data.draw(sparse_matrix(k, 1), label="b")
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            narrower_slots(monkeypatch)
+            try:
+                got = mat_mul(a, b)
+            except ExactnessError:
+                return
+        assert got == naive_mat_mul(a, b, 1 if k else 0)
