@@ -12,13 +12,13 @@ artifacts); branching matrices are cheap recombinations of cached tables.
 
 One parser, ``PARSER``, is built at import and reused by every ``run``;
 the subcommand is dispatched by name to the module's ``cmd_*`` function
-at call time.
+at call time.  Every command writes through ``serialize.render``; only
+``serialize`` knows the output formats (``serialize.FORMATS``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
@@ -27,6 +27,7 @@ from hobchar import chains, embedding, hyperoct, oracle, reduction, symmetric
 from hobchar.reports import CheckReport, mismatch
 from hobchar.serialize import (
     CACHE_ENV_VAR,
+    FORMATS,
     CacheWarning,
     TableCache,
     document_from,
@@ -38,7 +39,6 @@ SYM_DEFAULT_CAP = 12      # S_n degree for the formula pipeline
 HOB_DEFAULT_CAP = 6       # rank for the formula pipeline
 ORACLE_DEFAULT_CAP = 5    # rank for brute-force checks
 
-FORMATS = ("json", "csv", "latex", "pretty")
 TABLE_KINDS = (
     "induced",
     "irreducible",
@@ -121,26 +121,7 @@ def cmd_classes(args) -> int:
     else:
         _check_cap(args.n, HOB_DEFAULT_CAP, "n", args.allow_slow)
         data = [(a.label, order) for a, order in hyperoct.hob_classes(args.n)]
-    if args.format == "json":
-        payload = {
-            "schema_version": 1,
-            "group": args.group,
-            "n": args.n,
-            "classes": [{"label": l, "order": o} for l, o in data],
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    elif args.format == "csv":
-        lines = ["label,order"] + [f'"{l}",{o}' for l, o in data]
-        sys.stdout.write("\n".join(lines) + "\n")
-    elif args.format == "latex":
-        lines = [r"\begin{tabular}{r|r}", r"class & order \\", r"\hline"]
-        lines += [f"{l} & {o} \\\\" for l, o in data]
-        lines.append(r"\end{tabular}")
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        width = max(len(l) for l, _ in data)
-        lines = [f"{l.rjust(width)}  {o}" for l, o in data]
-        sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write(render((args.group, args.n, data), args.format))
     return 0
 
 
@@ -260,23 +241,7 @@ def cmd_verify(args) -> int:
                     file=sys.stderr,
                 )
 
-    if args.format == "json":
-        payload = {"schema_version": 1, "reports": [r.to_dict() for r in reports]}
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    elif args.format == "csv":
-        lines = ["check,n,pass"] + [
-            f"{r.check},{r.n},{str(r.passed).lower()}" for r in reports
-        ]
-        sys.stdout.write("\n".join(lines) + "\n")
-    elif args.format == "latex":
-        lines = [r"\begin{tabular}{rrl}", r"check & n & result \\", r"\hline"]
-        lines += [
-            f"{r.check} & {r.n} & {'pass' if r.passed else 'FAIL'} \\\\" for r in reports
-        ]
-        lines.append(r"\end{tabular}")
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        sys.stdout.write("\n".join(r.line() for r in reports) + "\n")
+    sys.stdout.write(render(reports, args.format))
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -2,9 +2,12 @@
 
 A ``TableDocument`` is the portable form of any table this package
 produces.  JSON is the schema of record (versioned, lossless); CSV,
-LaTeX, and the pretty grid render exactly the same integers.  The cache
-stores one JSON file per (group, n, kind) and treats anything it cannot
-validate as a miss.
+LaTeX, and the pretty grid render exactly the same integers.  ``render``
+is the one place an output format is chosen, for tables, for the class
+listings of ``hobchar classes`` and for the reports of ``hobchar verify``
+alike.  The cache stores one JSON file per (group, n, kind), ending in a
+SHA-256 of the text before it, and treats anything it cannot validate as
+a miss.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 SCHEMA_VERSION = 1
+
+FORMATS = ("json", "csv", "latex", "pretty")
 
 GROUPS = ("sym", "hyperoct")
 KINDS = (
@@ -108,27 +113,44 @@ def document_from(table, group, n, kind) -> TableDocument:
     )
 
 
-def to_json(doc: TableDocument) -> str:
-    data = {
-        "schema_version": doc.schema_version,
-        "group": doc.group,
-        "n": doc.n,
-        "kind": doc.kind,
-        "row_labels": list(doc.row_labels),
-        "col_labels": list(doc.col_labels),
-        "col_class_orders": (
-            list(doc.col_class_orders) if doc.col_class_orders is not None else None
-        ),
-        "entries": [list(r) for r in doc.entries],
-    }
-    return json.dumps(data, indent=2) + "\n"
+def to_json(doc) -> str:
+    """The one JSON writer, for every payload that ``render`` takes."""
+    if isinstance(doc, tuple):
+        group, n, classes = doc
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "group": group,
+            "n": n,
+            "classes": [{"label": l, "order": o} for l, o in classes],
+        }
+    elif isinstance(doc, list):
+        payload = {"schema_version": SCHEMA_VERSION, "reports": [r.to_dict() for r in doc]}
+    else:
+        payload = {
+            "schema_version": doc.schema_version,
+            "group": doc.group,
+            "n": doc.n,
+            "kind": doc.kind,
+            "row_labels": list(doc.row_labels),
+            "col_labels": list(doc.col_labels),
+            "col_class_orders": (
+                list(doc.col_class_orders) if doc.col_class_orders is not None else None
+            ),
+            "entries": [list(r) for r in doc.entries],
+        }
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def from_json(text: str) -> TableDocument:
     return TableDocument.from_json_dict(json.loads(text))
 
 
-def to_csv(doc: TableDocument) -> str:
+def to_csv(doc) -> str:
+    if isinstance(doc, tuple):
+        return "\n".join(["label,order"] + [f'"{l}",{o}' for l, o in doc[2]]) + "\n"
+    if isinstance(doc, list):
+        lines = [f"{r.check},{r.n},{str(r.passed).lower()}" for r in doc]
+        return "\n".join(["check,n,pass"] + lines) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([""] + list(doc.col_labels))
@@ -139,26 +161,37 @@ def to_csv(doc: TableDocument) -> str:
     return buf.getvalue()
 
 
-def to_latex(doc: TableDocument) -> str:
-    """A tabular with row and column labels outside the numeric grid."""
-    ncols = len(doc.col_labels)
-    lines = [
-        r"\begin{tabular}{r|" + "r" * ncols + "}",
-        " & " + " & ".join(doc.col_labels) + r" \\",
-        r"\hline",
-    ]
-    if doc.col_class_orders is not None:
-        lines.append(
-            r"order & " + " & ".join(str(v) for v in doc.col_class_orders) + r" \\"
-        )
-        lines.append(r"\hline")
-    for label, row in zip(doc.row_labels, doc.entries):
-        lines.append(f"{label} & " + " & ".join(str(v) for v in row) + r" \\")
+def to_latex(doc) -> str:
+    """The one LaTeX writer: a tabular whose head rows are each followed by
+    ``\\hline``, then the body rows.  A table keeps its row and column
+    labels outside the numeric grid."""
+    if isinstance(doc, tuple):
+        spec, heads = "r|r", [["class", "order"]]
+        body = [[label, str(order)] for label, order in doc[2]]
+    elif isinstance(doc, list):
+        spec, heads = "rrl", [["check", "n", "result"]]
+        body = [[r.check, str(r.n), "pass" if r.passed else "FAIL"] for r in doc]
+    else:
+        spec = "r|" + "r" * len(doc.col_labels)
+        heads = [[""] + list(doc.col_labels)]
+        if doc.col_class_orders is not None:
+            heads.append(["order"] + [str(v) for v in doc.col_class_orders])
+        rows = zip(doc.row_labels, doc.entries)
+        body = [[label] + [str(v) for v in row] for label, row in rows]
+    lines = [r"\begin{tabular}{" + spec + "}"]
+    for row in heads:
+        lines += [" & ".join(row) + r" \\", r"\hline"]
+    lines += [" & ".join(row) + r" \\" for row in body]
     lines.append(r"\end{tabular}")
     return "\n".join(lines) + "\n"
 
 
-def to_pretty(doc: TableDocument) -> str:
+def to_pretty(doc) -> str:
+    if isinstance(doc, tuple):
+        width = max(len(l) for l, _ in doc[2])
+        return "\n".join(f"{l.rjust(width)}  {o}" for l, o in doc[2]) + "\n"
+    if isinstance(doc, list):
+        return "\n".join(r.line() for r in doc) + "\n"
     header = [""] + list(doc.col_labels)
     body = []
     if doc.col_class_orders is not None:
@@ -174,7 +207,10 @@ def to_pretty(doc: TableDocument) -> str:
     return "\n".join(out) + "\n"
 
 
-def render(doc: TableDocument, fmt: str) -> str:
+def render(doc, fmt: str) -> str:
+    """The text of ``doc`` in ``fmt``, one of ``FORMATS``.  ``doc`` is a
+    ``TableDocument``, the ``(group, n, [(label, order), ...])`` listing of
+    ``hobchar classes`` or the list of ``CheckReport``s of ``hobchar verify``."""
     if fmt == "json":
         return to_json(doc)
     if fmt == "csv":
@@ -188,6 +224,16 @@ def render(doc: TableDocument, fmt: str) -> str:
 
 CACHE_ENV_VAR = "HOBCHAR_CACHE_DIR"
 
+# A cache file is the document's JSON with one more, last member: the
+# SHA-256 of the bytes before this separator.
+_CHECKSUM_MEMBER = b',\n  "sha256": '
+
+
+def _checksum(data: bytes) -> str:
+    import hashlib  # on first use: loading it costs about 4 ms of every import
+
+    return hashlib.sha256(data).hexdigest()
+
 
 class TableCache:
     """One JSON file per (group, n, kind); corruption counts as a miss."""
@@ -199,9 +245,13 @@ class TableCache:
         return self.root / f"{group}-{n}-{kind}.json"
 
     def lookup(self, group: str, n: int, kind: str) -> TableDocument | None:
+        """The stored document, or None.  A file that does not parse, does
+        not match its key or fails its checksum is a miss with a warning."""
         path = self.path(group, n, kind)
         try:
-            doc = from_json(path.read_text(encoding="utf-8"))
+            raw = path.read_bytes()
+            data = json.loads(raw.decode("utf-8"))
+            doc = TableDocument.from_json_dict(data)
         except FileNotFoundError:
             return None
         except (OSError, ValueError, RecursionError) as exc:
@@ -212,16 +262,23 @@ class TableCache:
                 f"cache file {path} does not match its key; ignoring", CacheWarning
             )
             return None
+        if data.get("sha256") != _checksum(raw.rpartition(_CHECKSUM_MEMBER)[0]):
+            warnings.warn(
+                f"cache file {path} fails its checksum; ignoring", CacheWarning
+            )
+            return None
         return doc
 
     def store(self, doc: TableDocument) -> None:
         path = self.path(doc.group, doc.n, doc.kind)
+        head = to_json(doc)[: -len("\n}\n")].encode()
+        content = head + _CHECKSUM_MEMBER + f'"{_checksum(head)}"\n}}\n'.encode()
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
             try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(to_json(doc))
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(content)
                 os.replace(tmp, path)
             except BaseException:
                 try:

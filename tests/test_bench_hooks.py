@@ -44,7 +44,9 @@ def test_tracer_rebinds_and_restores(monkeypatch):
         ("hobchar.serialize", "render"),
     ]:
         assert key in rebound
-    assert {s["name"] for s in tracer.spans} >= {"cli.run", "cli.classes"}
+    assert {s["name"] for s in tracer.spans} >= {
+        "cli.run", "cli.classes", "serialize.render.pretty"
+    }
 
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +80,27 @@ class TestExitCodes:
     def test_verify_requires_range(self, capsys):
         code, _, err = invoke(capsys, "verify", "--check", "eq8")
         assert code == 2
+
+
+class TestEntryPoint:
+    """``python -m hobchar.cli`` runs ``main``, which exits with the code
+    that ``run`` returns."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def entry_point(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(self.SRC))
+        return subprocess.run(
+            [sys.executable, "-m", "hobchar.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    def test_stdout_and_exit_codes(self, capsys):
+        argv = ("classes", "--group", "sym", "--n", "4", "--format", "csv")
+        done = self.entry_point(*argv)
+        assert done.returncode == 0
+        assert done.stdout == invoke(capsys, *argv)[1]
+        assert self.entry_point("classes", "--group", "sym", "--n", "0").returncode == 2
 
 
 class TestTableCommand:
@@ -217,6 +242,18 @@ class TestVerifyCommand:
         report = json.loads(out)["reports"][0]
         assert report["pass"] is False
         assert report["first_mismatch"]["row_label"] == "4"
+        # the FAIL and first-mismatch branches of every format, byte for byte
+        for fmt, digest in (
+            ("json", "7d7d027166b67ffbabbc496f0675f92b351f0fc455dcbcc77528bccd40a41d47"),
+            ("csv", "ea9e7e651e0e2ea291145d8733ef4ba43aed7970aaaa098707098e55a1ca6f39"),
+            ("latex", "7b7e86daf41f0ccf94900f901946c8a300c2d7630765b7412eb124331840fc5a"),
+            ("pretty", "d111802b37b08adc746d6eafda7bbcef4c8e4e8121634e55811a276bee04c5cf"),
+        ):
+            code, out, _ = invoke(
+                capsys, "verify", "--check", "eq8", "--n", "2", "--format", fmt
+            )
+            assert code == 1
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
     def test_row_orthogonality_failure_report(self, capsys, monkeypatch):
         import hobchar.cli as cli_mod
@@ -296,7 +333,9 @@ class TestCacheIntegration:
         # recomputed result was re-stored intact
         assert from_json(path.read_text()).entries[0] == (1, 1, 1, 1, 1)
 
-    @pytest.mark.parametrize("corruption", ["non-int numbers", "not utf-8", "deeply nested"])
+    @pytest.mark.parametrize(
+        "corruption", ["non-int numbers", "altered integers", "not utf-8", "deeply nested"]
+    )
     def test_corrupt_cache_gives_the_right_table(self, capsys, tmp_path, corruption):
         args = (
             "table", "--group", "sym", "--n", "3", "--kind", "irreducible",
@@ -310,6 +349,13 @@ class TestCacheIntegration:
         elif corruption == "deeply nested":
             # the JSON decoder gives up on this with a RecursionError
             path.write_text("[" * 100000 + "]" * 100000)
+        elif corruption == "altered integers":
+            # integers swapped for other integers, the class orders no
+            # longer summing to 3!: a table of the right types, but wrong
+            data = json.loads(path.read_text())
+            data["entries"][1][1] = 7
+            data["col_class_orders"][1:3] = [5, 2]
+            path.write_text(json.dumps(data, indent=2) + "\n")
         else:
             data = json.loads(path.read_text())
             data["entries"][0][0] = 2.9

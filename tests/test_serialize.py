@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import warnings
@@ -156,10 +157,15 @@ class TestNormalisation:
             TableDocument("sym", 2, "induced", ["a"], ["b"], [1], [[True]])
 
     def test_stored_table_text_round_trips(self, tmp_path):
+        # a cache file is the rendered JSON with one more, last member: the
+        # SHA-256 of the text before it
         cache = TableCache(tmp_path)
-        cache.store(document_from(sym_irreducible_table(6)[0], "sym", 6, "irreducible"))
+        doc = document_from(sym_irreducible_table(6)[0], "sym", 6, "irreducible")
+        cache.store(doc)
         text = cache.path("sym", 6, "irreducible").read_text()
-        assert to_json(from_json(text)) == text
+        head, _, tail = text.rpartition(',\n  "sha256": ')
+        assert head + "\n}\n" == to_json(from_json(text)) == to_json(doc)
+        assert tail == f'"{hashlib.sha256(head.encode()).hexdigest()}"\n}}\n'
 
 
 class TestCache:
@@ -212,6 +218,29 @@ class TestCache:
             warnings.simplefilter("always")
             assert cache.lookup("sym", 4, "induced") is None
         assert [w.category for w in caught] == [CacheWarning]
+
+    @pytest.mark.parametrize("edit", ["entry", "no checksum"])
+    def test_edited_file_is_a_miss(self, tmp_path, edit):
+        # other integers pass every type check; only the checksum sees them.
+        # A file without one, as older builds wrote, is a miss too.
+        cache = TableCache(tmp_path)
+        doc = document_from(sym_irreducible_table(3)[0], "sym", 3, "irreducible")
+        cache.store(doc)
+        path = cache.path("sym", 3, "irreducible")
+        data = json.loads(path.read_text())
+        path.write_text(json.dumps(data, indent=2) + "\n")
+        assert cache.lookup("sym", 3, "irreducible") == doc  # same text, a hit
+        if edit == "entry":
+            data["entries"][1][1] = 7
+        else:
+            del data["sha256"]
+        path.write_text(json.dumps(data, indent=2) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cache.lookup("sym", 3, "irreducible") is None
+        assert [str(w.message) for w in caught] == [
+            f"cache file {path} fails its checksum; ignoring"
+        ]
 
     def test_undecodable_file_is_a_miss(self, tmp_path):
         cache = TableCache(tmp_path)
