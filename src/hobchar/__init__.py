@@ -7,6 +7,8 @@ branching routes, and (at small rank) a brute-force oracle over explicitly
 enumerated group elements.
 """
 
+import sys
+
 from hobchar.chains import (
     chain_compose,
     hob_chain,
@@ -60,29 +62,11 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Drop all memoized tables (useful before timing runs)."""
-    from hobchar import (
-        chains as _c,
-        combinatorics,
-        hyperoct as _h,
-        oracle as _o,
-        reduction as _r,
-        symmetric as _s,
-    )
-
-    for fn in (
-        combinatorics.partitions,
-        _s.sym_classes,
-        _s.sym_induced_table,
-        _s.sym_irreducible_table,
-        _h.hob_subgroups,
-        _h.hob_classes,
-        _h.hob_induced_table,
-        _h.hob_irreducible_table,
-        _r.reduce_irreducible,
-        _r.reduce_induced,
-        _c.hob_restriction_matrix,
-        _o.enumerate_group,
-        _o.oracle_class_data,
-    ):
-        fn.cache_clear()
+    """Drop all memoized tables (useful before timing runs): every
+    function with a ``cache_clear`` defined in a loaded hobchar module."""
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "hobchar" or name.startswith("hobchar.")):
+            continue
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear") and getattr(value, "__module__", None) == name:
+                value.cache_clear()

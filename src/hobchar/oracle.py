@@ -287,13 +287,8 @@ def oracle_induced_char(n: int, label: SignedSubgroupLabel) -> tuple[int, ...]:
     for cls in oracle_class_data(n):
         centralizer = exact_div(group_order, cls.size, "centralizer order")
         hits = centralizer * len(subgroup & cls.members)
-        value, r = divmod(hits, order)
-        if r:
-            raise ExactnessError(
-                f"fixed-coset count of {label.label!r} at {cls.alpha.label!r}: "
-                f"{hits} hits not divisible by subgroup order {order}"
-            )
-        values.append(value)
+        what = f"fixed-coset count of {label.label!r} at {cls.alpha.label!r}"
+        values.append(exact_div(hits, order, what))
     return tuple(values)
 
 
@@ -324,13 +319,7 @@ def oracle_restriction(n: int) -> BranchingMatrix:
     for i, xv in enumerate(x_vals):
         row = []
         for k, yv in enumerate(y_vals):
-            total = sum(map(mul, xv, yv))
-            mult, r = divmod(total, order)
-            if r:
-                raise ExactnessError(
-                    f"restriction multiplicity ({i}, {k}): {total} not divisible "
-                    f"by group order {order}"
-                )
+            mult = exact_div(sum(map(mul, xv, yv)), order, f"restriction multiplicity ({i}, {k})")
             if mult < 0:
                 raise ExactnessError(f"restriction multiplicity ({i}, {k}) is negative: {mult}")
             row.append(mult)
@@ -371,7 +360,7 @@ def oracle_agreement(n: int) -> "CheckReport":
     for i, label in enumerate(table.row_labels):
         got = oracle_induced_char(n, label)
         for cls, value in zip(oracle_class_data(n), got):
-            expected = table.row(i)[col_of[cls.alpha]]
+            expected = table.entries[i][col_of[cls.alpha]]
             if value != expected:
                 return mismatch("oracle", n, label, cls.alpha, expected, value)
 

@@ -16,7 +16,7 @@ above the top slot raises :class:`ExactnessError` rather than alias.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from operator import mul
@@ -75,19 +75,11 @@ class CharacterTable:
     def ncols(self):
         return len(self.col_labels)
 
-    def row(self, i):
-        return self.entries[i]
-
     def weigh(self, v):
         """``v`` times the class orders, entry by entry.  Every class sum
         takes its second row in this form, so a loop that pairs one row
         with many weighs it once."""
         return tuple(map(mul, self.col_class_orders, v))
-
-    def class_sum(self, u, weighted):
-        """sum_c |c| u_c v_c for ``weighted = self.weigh(v)``: the weighted
-        inner product times the group order, an exact integer."""
-        return sum(map(mul, u, weighted))
 
 
 @dataclass(frozen=True)
@@ -185,7 +177,7 @@ def weighted_gram_schmidt(table: CharacterTable):
             packed = [_pack(d, width) for d in done]
         resid = tuple(_unpack(_pack(row, width) - sum(map(mul, coeffs, packed)), n, width))
         w = table.weigh(resid)
-        norm = table.class_sum(resid, w)
+        norm = sum(map(mul, resid, w))  # the squared norm times the group order
         if norm != order:
             raise ExactnessError(
                 f"row {i} residue has squared norm {Fraction(norm, order)}, expected 1"
@@ -197,14 +189,7 @@ def weighted_gram_schmidt(table: CharacterTable):
         cols = [c + (x << shift) for c, x in zip(cols, w)]
         col_max = list(map(max, col_max, map(abs, w)))
         trans.append(tuple(coeffs) + (1,) + (0,) * (n - i - 1))
-    ortho = CharacterTable(
-        row_labels=table.row_labels,
-        col_labels=table.col_labels,
-        col_class_orders=table.col_class_orders,
-        entries=tuple(done),
-        group_order=order,
-    )
-    return ortho, TransitionMatrix(table.row_labels, tuple(trans))
+    return replace(table, entries=tuple(done)), TransitionMatrix(table.row_labels, tuple(trans))
 
 
 def first_orthogonality_failure(table: CharacterTable):

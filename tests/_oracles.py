@@ -210,6 +210,75 @@ def hook_length_degree(parts):
     return deg
 
 
+def rim_hooks(parts, k):
+    """(shape left, height) for every rim hook of length ``k`` of ``parts``,
+    read off the beta-numbers parts[i] + m - 1 - i: moving a bead b to the
+    free position b - k removes a k-rim hook, whose height is the number
+    of beads strictly between the two positions."""
+    m = len(parts)
+    beta = [p + m - 1 - i for i, p in enumerate(parts)]
+    out = []
+    for b in beta:
+        if b < k or b - k in beta:
+            continue
+        moved = sorted([c for c in beta if c != b] + [b - k], reverse=True)
+        shape = tuple(c - (m - 1 - i) for i, c in enumerate(moved))
+        height = sum(1 for c in beta if b - k < c < b)
+        out.append((tuple(p for p in shape if p), height))
+    return out
+
+
+@lru_cache(maxsize=None)
+def mn_character(parts, cycles):
+    """chi^parts at the class of cycle lengths ``cycles`` (tuples), by
+    Murnaghan-Nakayama: a first cycle of length k removes a k-rim hook,
+    with sign (-1)^height (James & Kerber 2.4.7)."""
+    if not cycles:
+        return int(not parts)
+    k, rest = cycles[0], cycles[1:]
+    return sum((-1) ** h * mn_character(shape, rest) for shape, h in rim_hooks(parts, k))
+
+
+@lru_cache(maxsize=None)
+def mn_bipartition_character(alpha, beta, pos, neg):
+    """chi^(alpha, beta) of the signed-permutation group at the class with
+    positive cycle lengths ``pos`` and negative ``neg`` (tuples): a cycle
+    of length k removes a k-rim hook from alpha with sign (-1)^height, or
+    from beta with sign (-1)^height and one more -1 when the cycle is
+    negative (Macdonald I, Appendix B)."""
+    if not pos and not neg:
+        return int(not alpha and not beta)
+    if pos:
+        k, pos, sign = pos[0], pos[1:], 1
+    else:
+        k, neg, sign = neg[0], neg[1:], -1
+    from_alpha = sum(
+        (-1) ** h * mn_bipartition_character(shape, beta, pos, neg)
+        for shape, h in rim_hooks(alpha, k)
+    )
+    from_beta = sum(
+        (-1) ** h * mn_bipartition_character(alpha, shape, pos, neg)
+        for shape, h in rim_hooks(beta, k)
+    )
+    return from_alpha + sign * from_beta
+
+
+def conjugate_partition(parts):
+    """The transpose of ``parts``: entry j counts the parts larger than j."""
+    return tuple(sum(1 for p in parts if p > j) for j in range(parts[0] if parts else 0))
+
+
+def frobenius(parts):
+    """Frobenius form (a | b) of ``parts``: a_i = parts[i] - i - 1 and
+    b_i = parts'[i] - i - 1 along the diagonal."""
+    cols = conjugate_partition(parts)
+    rank = sum(1 for i, p in enumerate(parts) if p > i)
+    return (
+        tuple(parts[i] - i - 1 for i in range(rank)),
+        tuple(cols[i] - i - 1 for i in range(rank)),
+    )
+
+
 def cycle_type_of(perm):
     """Cycle lengths of a permutation given as a tuple of images of 1..n."""
     n = len(perm)

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import hobchar.cli
-from hobchar import serialize
+from hobchar import oracle, serialize
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -51,3 +51,20 @@ def test_tracer_rebinds_and_restores(monkeypatch):
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
     assert (serialize.TableCache.lookup, serialize.TableCache.store) == methods
+
+
+def test_clear_caches_empties_traced_caches(monkeypatch):
+    # inside the tracer the modules hold wrappers that forward cache_clear,
+    # cache_info and __module__; clearing through them empties every cache
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    with tracing.instrument(tracing.Tracer("t")):
+        hobchar.method_b_verify(2)
+        hobchar.verify_consistency(2)
+        assert oracle.oracle_agreement(2).passed
+        cached = {key: fn for key, fn in bindings().items() if hasattr(fn, "cache_info")}
+        assert any(hasattr(fn, "__wrapped__") for fn in cached.values())
+        assert any(fn.cache_info().currsize for fn in cached.values())
+        hobchar.clear_caches()
+        assert [key for key, fn in cached.items() if fn.cache_info().currsize] == []

@@ -2,7 +2,11 @@
 timing run that calls it first is not cold."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import hobchar
 
@@ -29,3 +33,21 @@ def test_clear_caches_empties_every_cache():
     assert [name for name, fn in functions if fn.cache_info().currsize == 0] == []
     hobchar.clear_caches()
     assert [name for name, fn in functions if fn.cache_info().currsize != 0] == []
+
+
+def test_clear_caches_loads_no_module():
+    # a fresh interpreter: ``import hobchar`` does not load the oracle, and
+    # clearing the caches must not load it either
+    code = (
+        "import sys, hobchar\n"
+        "before = set(sys.modules)\n"
+        "hobchar.clear_caches()\n"
+        "print(sorted(set(sys.modules) - before), 'hobchar.oracle' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[] False\n"

@@ -1,0 +1,93 @@
+"""The irreducible tables X (of S_n) and Y (of the rank-N group) and the
+branching matrix R1 against closed formulas that share no code with the
+pipeline: Murnaghan-Nakayama from beta-numbers for every entry of X and
+Y, and the four linear characters of Y with their columns of R1."""
+
+from math import comb
+
+import pytest
+
+from hobchar.hyperoct import hob_irreducible_table
+from hobchar.reduction import reduce_irreducible
+from hobchar.symmetric import sym_irreducible_table
+
+from _oracles import (
+    conjugate_partition,
+    frobenius,
+    hook_length_degree,
+    mn_bipartition_character,
+    mn_character,
+)
+
+
+def slow(*values):
+    return [pytest.param(v, marks=pytest.mark.slow) for v in values]
+
+
+def bipartition(label):
+    """The label rule: row (parts, flags) of Y is chi^(alpha, beta), alpha
+    the flag-0 parts and beta the flag-1 parts."""
+    pairs = tuple(zip(label.partition, label.flags))
+    return tuple(p for p, f in pairs if not f), tuple(p for p, f in pairs if f)
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), *slow(16)])
+def test_sym_rows_are_murnaghan_nakayama(n):
+    x, _ = sym_irreducible_table(n)
+    for lam, row in zip(x.row_labels, x.entries):
+        assert row == tuple(mn_character(lam.parts, mu.parts) for mu in x.col_labels), lam
+
+
+@pytest.mark.parametrize("n", [*range(1, 7), *slow(8)])
+def test_hob_rows_are_murnaghan_nakayama(n):
+    y, _ = hob_irreducible_table(n)
+    for label, row in zip(y.row_labels, y.entries):
+        alpha, beta = bipartition(label)
+        expected = tuple(
+            mn_bipartition_character(alpha, beta, a.pos.parts, a.neg.parts)
+            for a in y.col_labels
+        )
+        assert row == expected, label.label
+        # chi^(alpha, beta)(1) = C(N, |alpha|) f^alpha f^beta
+        degree = comb(n, sum(alpha)) * hook_length_degree(alpha) * hook_length_degree(beta)
+        assert row[0] == degree, label.label
+
+
+def linear_labels(n):
+    return f"{n}-", f"{n}+", ",".join(["1-"] * n), ",".join(["1+"] * n)
+
+
+@pytest.mark.parametrize("n", [*range(1, 7), *slow(7, 8)])
+def test_linear_characters_of_y(n):
+    # N- is trivial, N+ is -1 per negative cycle, 1-,...,1- is the sign of
+    # the underlying permutation and 1+,...,1+ their product
+    y, _ = hob_irreducible_table(n)
+    rows = dict(zip((label.label for label in y.row_labels), y.entries))
+    trivial, negative, sign, product = linear_labels(n)
+    for c, a in enumerate(y.col_labels):
+        neg = (-1) ** len(a.neg)
+        perm_sign = (-1) ** (n - len(a.pos) - len(a.neg))
+        assert rows[trivial][c] == 1
+        assert rows[negative][c] == neg, a.label
+        assert rows[sign][c] == perm_sign, a.label
+        assert rows[product][c] == neg * perm_sign, a.label
+
+
+@pytest.mark.parametrize("n", [*range(1, 7), *slow(7, 8)])
+def test_linear_columns_of_r1(n):
+    # restriction to the four linear characters is plethysm with h_2 and
+    # e_2 (Macdonald I.8 Ex. 6): h_N[h_2] sums s_lambda over lambda with
+    # every part even, h_N[e_2] over lambda' with every part even,
+    # e_N[h_2] over Frobenius forms (a + 1 | a) and e_N[e_2] over (a | a + 1)
+    r1 = reduce_irreducible(n)
+    col_of = {label.label: k for k, label in enumerate(r1.col_labels)}
+    columns = [col_of[label] for label in linear_labels(n)]
+    for lam, row in zip(r1.row_labels, r1.entries):
+        a, b = frobenius(lam.parts)
+        expected = (
+            all(p % 2 == 0 for p in lam.parts),
+            all(p % 2 == 0 for p in conjugate_partition(lam.parts)),
+            a == tuple(v + 1 for v in b),
+            b == tuple(v + 1 for v in a),
+        )
+        assert tuple(row[k] for k in columns) == tuple(map(int, expected)), lam.label

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -48,7 +49,8 @@ class TestContainers:
 
     def test_inner_is_exact(self):
         t = table_of(((1, 1), (1, -1)), (1, 1), 2)
-        assert t.class_sum(t.row(0), t.weigh(t.row(0))) == 2
+        row = t.entries[0]
+        assert sum(map(mul, row, t.weigh(row))) == 2
         # the weighted inner products of every pair of rows
         assert restriction_matrix(t, t).entries == ((1, 0), (0, 1))
 
@@ -56,7 +58,7 @@ class TestContainers:
         # the S_3 table: classes of orders 1, 3, 2
         t = table_of(((1, 1, 1), (1, -1, 1), (2, 0, -1)), (1, 3, 2), 6)
         assert t.weigh((2, 0, -1)) == (2, 0, -2)
-        assert t.class_sum((2, 0, -1), t.weigh((2, 0, -1))) == 6
+        assert sum(map(mul, (2, 0, -1), t.weigh((2, 0, -1)))) == 6
         assert restriction_matrix(t, t).entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_inner_raises_on_non_integral_sum(self):
