@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
+from math import isqrt
 from operator import mul
 
 
@@ -152,30 +153,29 @@ def weighted_gram_schmidt(table: CharacterTable):
     itself, which is checked.  A residue with non-unit norm or a
     non-integral projection coefficient raises :class:`ExactnessError`
     (rank deficiency shows up as norm 0).
+
+    Every slot has one width, fixed before the loop from
+    B = isqrt(|G| max_i sum_c row_i[c]^2 |c|) + 1.  The earlier residues
+    are orthonormal (norms checked, orthogonal by exact construction), so
+    Cauchy-Schwarz bounds every projection sum by B and Bessel every
+    residue entry; a weighed entry |c| y[c] is at most |G| < B, as row 0
+    has norm 1.
     """
     if table.nrows != table.ncols:
         raise ValueError("weighted orthonormalization needs a square table")
     n, order = table.nrows, table.group_order
-    done, packed, done_max, trans = [], [], [], []
-    # cols[j] packs column j of the weighed residues, one slot of ``proj``
-    # bytes per residue, so one pass gives every projection sum of a row;
-    # ``packed`` holds the residues in slots of ``width`` bytes
-    cols, col_max, proj, width = [0] * n, [0] * n, 1, 1
+    norms = [sum(map(mul, row, table.weigh(row))) for row in table.entries]
+    nbytes = _slot_bytes(isqrt(order * max(norms, default=0)) + 1)
+    # cols[j] packs column j of the weighed residues, one slot per residue,
+    # so one pass gives every projection sum of a row
+    done, packed, trans, cols = [], [], [], [0] * n
     for i, row in enumerate(table.entries):
-        need = _slot_bytes(max(max(col_max), sum(map(mul, map(abs, row), col_max))))
-        if need > proj:
-            proj = need
-            cols = [_pack(col, proj) for col in zip(*map(table.weigh, done))]
-        sums = _unpack(sum(map(mul, row, cols)), i, proj)
+        sums = _unpack(sum(map(mul, row, cols)), i, nbytes)
         coeffs = [
             exact_div(s, order, f"projection coefficient ({i},{k})")
             for k, s in enumerate(sums)
         ]
-        need = _slot_bytes(max(map(abs, row)) + sum(map(mul, map(abs, coeffs), done_max)))
-        if need > width:
-            width = need
-            packed = [_pack(d, width) for d in done]
-        resid = tuple(_unpack(_pack(row, width) - sum(map(mul, coeffs, packed)), n, width))
+        resid = tuple(_unpack(_pack(row, nbytes) - sum(map(mul, coeffs, packed)), n, nbytes))
         w = table.weigh(resid)
         norm = sum(map(mul, resid, w))  # the squared norm times the group order
         if norm != order:
@@ -183,11 +183,9 @@ def weighted_gram_schmidt(table: CharacterTable):
                 f"row {i} residue has squared norm {Fraction(norm, order)}, expected 1"
             )
         done.append(resid)
-        packed.append(_pack(resid, width))
-        done_max.append(max(map(abs, resid)))
-        shift = 8 * proj * i
+        packed.append(_pack(resid, nbytes))
+        shift = 8 * nbytes * i
         cols = [c + (x << shift) for c, x in zip(cols, w)]
-        col_max = list(map(max, col_max, map(abs, w)))
         trans.append(tuple(coeffs) + (1,) + (0,) * (n - i - 1))
     return replace(table, entries=tuple(done)), TransitionMatrix(table.row_labels, tuple(trans))
 

@@ -263,6 +263,31 @@ def mn_bipartition_character(alpha, beta, pos, neg):
     return from_alpha + sign * from_beta
 
 
+def _strip_removals(shape, k):
+    """Every nu with shape / nu a horizontal strip of ``k`` boxes: row i
+    keeps nu[i] boxes with shape[i + 1] <= nu[i] <= shape[i]."""
+    if not shape:
+        if k == 0:
+            yield ()
+        return
+    below = shape[1] if len(shape) > 1 else 0
+    for keep in range(max(shape[0] - k, below), shape[0] + 1):
+        for rest in _strip_removals(shape[1:], k - shape[0] + keep):
+            yield (keep, *rest)
+
+
+@lru_cache(maxsize=None)
+def kostka(shape, content):
+    """K_{shape, content}, the number of semistandard tableaux of ``shape``
+    with content[i] entries equal to i + 1 (tuples): the entries equal to
+    the largest letter form a horizontal strip, so strip it and count the
+    rest (Macdonald I.6)."""
+    if not content:
+        return int(not shape)
+    k, rest = content[-1], content[:-1]
+    return sum(kostka(tuple(filter(None, inner)), rest) for inner in _strip_removals(shape, k))
+
+
 def conjugate_partition(parts):
     """The transpose of ``parts``: entry j counts the parts larger than j."""
     return tuple(sum(1 for p in parts if p > j) for j in range(parts[0] if parts else 0))

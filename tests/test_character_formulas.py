@@ -1,8 +1,11 @@
-"""The irreducible tables X (of S_n) and Y (of the rank-N group) and the
-branching matrix R1 against closed formulas that share no code with the
-pipeline: Murnaghan-Nakayama from beta-numbers for every entry of X and
-Y, and the four linear characters of Y with their columns of R1."""
+"""The irreducible tables X (of S_n) and Y (of the rank-N group), their
+transition factors Delta and T, and the branching matrix R1 against closed
+formulas that share no code with the pipeline: Murnaghan-Nakayama from
+beta-numbers for every entry of X and Y, Kostka numbers for every entry
+of Delta and T, and the four linear characters of Y with their columns
+of R1."""
 
+from itertools import product
 from math import comb
 
 import pytest
@@ -15,6 +18,7 @@ from _oracles import (
     conjugate_partition,
     frobenius,
     hook_length_degree,
+    kostka,
     mn_bipartition_character,
     mn_character,
 )
@@ -51,6 +55,38 @@ def test_hob_rows_are_murnaghan_nakayama(n):
         # chi^(alpha, beta)(1) = C(N, |alpha|) f^alpha f^beta
         degree = comb(n, sum(alpha)) * hook_length_degree(alpha) * hook_length_degree(beta)
         assert row[0] == degree, label.label
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), *slow(13, 14, 15, 16)])
+def test_sym_transition_is_kostka(n):
+    # phi^lambda = sum_mu K_{mu, lambda} chi^mu (Macdonald I.6)
+    _, delta = sym_irreducible_table(n)
+    for lam, row in zip(delta.labels, delta.entries):
+        assert row == tuple(kostka(mu.parts, lam.parts) for mu in delta.labels), lam
+
+
+def kostka_product(alpha, beta, label):
+    """Entry (label, (alpha, beta)) of T: a flag-0 part p induces
+    chi^((p), ()), a flag-1 part chi^((p), ()) + chi^((), (p)), and the
+    product adds a horizontal strip on one side per part (Pieri), so sum
+    K_{alpha, A} K_{beta, B} over the ways to send each flag-1 part to A
+    or to B, where A also holds every flag-0 part.  A Kostka number does
+    not depend on the order of its content, so A and B stay unsorted."""
+    fixed, free = bipartition(label)
+    total = 0
+    for sides in product((0, 1), repeat=len(free)):
+        a = fixed + tuple(p for p, side in zip(free, sides) if not side)
+        b = tuple(p for p, side in zip(free, sides) if side)
+        total += kostka(alpha, a) * kostka(beta, b)
+    return total
+
+
+@pytest.mark.parametrize("n", [*range(1, 7), *slow(7, 8)])
+def test_hob_transition_is_a_kostka_product(n):
+    _, t = hob_irreducible_table(n)
+    columns = [bipartition(label) for label in t.labels]
+    for label, row in zip(t.labels, t.entries):
+        assert row == tuple(kostka_product(a, b, label) for a, b in columns), label.label
 
 
 def linear_labels(n):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hobchar import tables
 from hobchar.combinatorics import Partition
-from hobchar.hyperoct import hob_induced_table
+from hobchar.hyperoct import hob_induced_table, hob_irreducible_table
 from hobchar.reduction import restriction_matrix
 from hobchar.symmetric import sym_induced_table, sym_irreducible_table
 from hobchar.tables import (
@@ -101,17 +101,20 @@ class TestGramSchmidt:
             weighted_gram_schmidt(t)
 
     def test_weighed_entry_wider_than_the_projection_sums(self):
-        # class order 39999 needs a 3-byte slot in the weighed row 0, while
-        # every projection sum of row 1 fits in 2 bytes; the slots must
-        # still hold it, so the run gets to the norm check of row 2
+        # class order 39999 puts a 3-byte value in the weighed row 0, while
+        # every projection sum of row 1 fits in 2 bytes; the one slot width,
+        # fixed from the norms of all rows, must still hold it, so the run
+        # gets to the norm check of row 2
         t = table_of(((1, 1, 1), (-200, 1, 0), (-199, -199, 1)), (1, 200, 39999), 40200)
         with pytest.raises(ExactnessError, match="row 2 residue has squared norm 199, expected 1"):
             weighted_gram_schmidt(t)
 
     def test_residue_wider_than_its_row(self):
         # chi = X[5,3,1] minus twice X[7,2] stays below 128 everywhere, as
-        # does X[7,2], but X[5,3,1] reaches 162: the residue of chi needs a
-        # wider slot than chi and every row before it
+        # does X[7,2], but X[5,3,1] reaches 162: the residue of chi is wider
+        # than chi and every row before it, so a slot sized from the
+        # entries of the rows would be too narrow, and one sized from their
+        # norms (Bessel) is not
         x, _ = sym_irreducible_table(9)
         a, b = (x.row_labels.index(Partition(p)) for p in ((7, 2), (5, 3, 1)))
         rest = [r for i, r in enumerate(x.entries) if i not in (a, b)]
@@ -143,7 +146,8 @@ def assert_matches_reference(table):
 
 
 class TestGramSchmidtAgainstReference:
-    # the induced tables make every packed slot grow more than once
+    # the induced tables run the packed projections and residues over
+    # every row, with slots several bytes wide
     @pytest.mark.parametrize("n", range(1, 13))
     def test_symmetric(self, n):
         assert_matches_reference(sym_induced_table(n))
@@ -362,3 +366,54 @@ class TestPackedProduct:
             except ExactnessError:
                 return
         assert got == naive_mat_mul(a, b, 1 if k else 0)
+
+
+def lower_unitriangular(data, n):
+    """An n x n lower unitriangular integer matrix with entries up to
+    2**64 in absolute value below the diagonal."""
+    entry = st.integers(-(2**64), 2**64)
+    return [
+        [data.draw(entry) if j < i else int(i == j) for j in range(n)] for i in range(n)
+    ]
+
+
+# S_1 ... S_6 and ranks 1 ... 3
+IRREDUCIBLE_TABLES = [
+    *((sym_irreducible_table, n) for n in range(1, 7)),
+    *((hob_irreducible_table, n) for n in range(1, 4)),
+]
+
+
+class TestGramSchmidtSlotWidth:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_recovers_the_factors_of_a_wide_product(self, data):
+        # L X has rows far wider than any induced table's; its one
+        # unitriangular orthonormal factorization is (X, L)
+        irreducible, n = data.draw(st.sampled_from(IRREDUCIBLE_TABLES), label="table")
+        x, _ = irreducible(n)
+        lower = lower_unitriangular(data, x.nrows)
+        wide = table_of(naive_mat_mul(lower, x.entries, x.ncols), x.col_class_orders, x.group_order)
+        ortho, trans = weighted_gram_schmidt(wide)
+        assert ortho.entries == x.entries
+        assert trans.entries == tuple(map(tuple, lower))
+
+    def test_packs_each_row_and_each_residue_once(self, monkeypatch):
+        table = sym_induced_table(12)
+        calls, pack = [], tables._pack
+
+        def counted(values, nbytes):
+            calls.append(nbytes)
+            return pack(values, nbytes)
+
+        monkeypatch.setattr(tables, "_pack", counted)
+        weighted_gram_schmidt(table)
+        assert len(calls) == 2 * table.nrows == 2 * 77
+        assert len(set(calls)) == 1
+
+    def test_one_byte_narrower_raises(self, monkeypatch):
+        # the bound is tight enough that S_12 needs every byte of it
+        table = sym_induced_table(12)
+        narrower_slots(monkeypatch)
+        with pytest.raises(ExactnessError):
+            weighted_gram_schmidt(table)
