@@ -28,18 +28,14 @@ def weyl_matrix(n: int) -> BranchingMatrix:
         raise ValueError("n must be >= 2")
     rows = partitions(n)
     cols = partitions(n - 1)
-    col_index = {p: j for j, p in enumerate(cols)}
+    col_index = {p.parts: j for j, p in enumerate(cols)}
     entries = []
     for lam in rows:
-        row = [0] * len(cols)
-        for i in range(len(lam)):
-            lowered = list(lam.parts)
-            lowered[i] -= 1
-            if lowered[i] == 0:
-                lowered.pop(i)
-            elif any(a < b for a, b in zip(lowered, lowered[1:])):
-                continue
-            row[col_index[Partition(tuple(lowered))]] = 1
+        parts, row = lam.parts, [0] * len(cols)
+        for i, p in enumerate(parts):
+            # only a removable corner: the last part of its run of equal parts
+            if i + 1 == len(parts) or parts[i + 1] < p:
+                row[col_index[parts[:i] + (p - 1,) * (p > 1) + parts[i + 1 :]]] = 1
         entries.append(tuple(row))
     return BranchingMatrix(rows, cols, tuple(entries))
 

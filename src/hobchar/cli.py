@@ -28,12 +28,14 @@ from hobchar.reports import CheckReport, mismatch
 from hobchar.serialize import (
     CACHE_ENV_VAR,
     FORMATS,
+    GROUPS,
     CacheWarning,
     TableCache,
+    TableDocument,
     document_from,
     render,
 )
-from hobchar.tables import CharacterTable, first_orthogonality_failure
+from hobchar.tables import first_orthogonality_failure
 
 SYM_DEFAULT_CAP = 12      # S_n degree for the formula pipeline
 HOB_DEFAULT_CAP = 6       # rank for the formula pipeline
@@ -68,11 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classes", parents=[common], help="conjugacy classes and orders")
-    p.add_argument("--group", choices=("sym", "hyperoct"), required=True)
+    p.add_argument("--group", choices=GROUPS, required=True)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("table", parents=[common], help="character tables")
-    p.add_argument("--group", choices=("sym", "hyperoct"), required=True)
+    p.add_argument("--group", choices=GROUPS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=TABLE_KINDS, required=True)
 
@@ -127,16 +129,10 @@ def cmd_classes(args) -> int:
 
 def _compute_table_document(group, n, kind):
     if kind == "fchar":
-        classes = symmetric.sym_classes(n)
-        orders = tuple(order for _, order in classes)
-        table = CharacterTable(
-            row_labels=("F",),
-            col_labels=tuple(ct for ct, _ in classes),
-            col_class_orders=orders,
-            entries=(embedding.permutation_character_F(n // 2),),
-            group_order=sum(orders),
-        )
-    elif kind.startswith("modified-"):
+        labels, orders = zip(*symmetric.sym_classes(n))
+        entries = (embedding.permutation_character_F(n // 2),)
+        return TableDocument(group, n, kind, ("F",), labels, orders, entries)
+    if kind.startswith("modified-"):
         if group != "sym":
             raise ValueError(f"{kind!r} applies only to --group sym")
         if n % 2:
@@ -255,13 +251,7 @@ def run(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     # Looked up at call time, so a rebound ``cmd_*`` global is the one called.
-    command = {
-        "classes": cmd_classes,
-        "table": cmd_table,
-        "branch": cmd_branch,
-        "fchar": cmd_fchar,
-        "verify": cmd_verify,
-    }[args.command]
+    command = globals()[f"cmd_{args.command}"]
     with warnings.catch_warnings():
         if args.quiet:
             warnings.simplefilter("ignore", CacheWarning)

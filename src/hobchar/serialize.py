@@ -23,8 +23,6 @@ from pathlib import Path
 
 SCHEMA_VERSION = 1
 
-FORMATS = ("json", "csv", "latex", "pretty")
-
 GROUPS = ("sym", "hyperoct")
 KINDS = (
     "induced",
@@ -50,7 +48,6 @@ class TableDocument:
     col_labels: tuple[str, ...]
     col_class_orders: tuple[int, ...] | None
     entries: tuple[tuple[int, ...], ...]
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         # From lists, not generators: exact-size tuples do not fragment the heap.
@@ -127,7 +124,7 @@ def to_json(doc) -> str:
         payload = {"schema_version": SCHEMA_VERSION, "reports": [r.to_dict() for r in doc]}
     else:
         payload = {
-            "schema_version": doc.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "group": doc.group,
             "n": doc.n,
             "kind": doc.kind,
@@ -207,19 +204,18 @@ def to_pretty(doc) -> str:
     return "\n".join(out) + "\n"
 
 
+# Every output format, named once, with its writer.
+_WRITERS = {"json": to_json, "csv": to_csv, "latex": to_latex, "pretty": to_pretty}
+FORMATS = tuple(_WRITERS)
+
+
 def render(doc, fmt: str) -> str:
     """The text of ``doc`` in ``fmt``, one of ``FORMATS``.  ``doc`` is a
     ``TableDocument``, the ``(group, n, [(label, order), ...])`` listing of
     ``hobchar classes`` or the list of ``CheckReport``s of ``hobchar verify``."""
-    if fmt == "json":
-        return to_json(doc)
-    if fmt == "csv":
-        return to_csv(doc)
-    if fmt == "latex":
-        return to_latex(doc)
-    if fmt == "pretty":
-        return to_pretty(doc)
-    raise ValueError(f"unknown format {fmt!r}")
+    if fmt not in _WRITERS:
+        raise ValueError(f"unknown format {fmt!r}")
+    return _WRITERS[fmt](doc)
 
 
 CACHE_ENV_VAR = "HOBCHAR_CACHE_DIR"

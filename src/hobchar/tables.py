@@ -175,7 +175,8 @@ def weighted_gram_schmidt(table: CharacterTable):
             exact_div(s, order, f"projection coefficient ({i},{k})")
             for k, s in enumerate(sums)
         ]
-        resid = tuple(_unpack(_pack(row, nbytes) - sum(map(mul, coeffs, packed)), n, nbytes))
+        packed.append(_pack(row, nbytes) - sum(map(mul, coeffs, packed)))  # the residue
+        resid = tuple(_unpack(packed[-1], n, nbytes))
         w = table.weigh(resid)
         norm = sum(map(mul, resid, w))  # the squared norm times the group order
         if norm != order:
@@ -183,7 +184,6 @@ def weighted_gram_schmidt(table: CharacterTable):
                 f"row {i} residue has squared norm {Fraction(norm, order)}, expected 1"
             )
         done.append(resid)
-        packed.append(_pack(resid, nbytes))
         shift = 8 * nbytes * i
         cols = [c + (x << shift) for c, x in zip(cols, w)]
         trans.append(tuple(coeffs) + (1,) + (0,) * (n - i - 1))
@@ -225,8 +225,11 @@ def mat_mul(a, b):
     packed into one integer, so a row of the product is one sum of
     scalar x packed-row products, decoded slot by slot.  A slot holds
     max|a| * max|b| * len(b), which bounds every entry of the product,
-    and at least max|b|, so that the rows of ``b`` fit."""
+    and at least max|b|, so that the rows of ``b`` fit.  Shapes that do
+    not match raise ``ValueError``."""
     width = len(b[0]) if b else 0
+    if any(len(row) != len(b) for row in a) or any(len(row) != width for row in b):
+        raise ValueError("matrix shapes do not match")
     a_max = max(map(abs, chain.from_iterable(a)), default=0)
     b_max = max(map(abs, chain.from_iterable(b)), default=0)
     nbytes = _slot_bytes(max(a_max * len(b), 1) * b_max)

@@ -288,6 +288,64 @@ def kostka(shape, content):
     return sum(kostka(tuple(filter(None, inner)), rest) for inner in _strip_removals(shape, k))
 
 
+# Symmetric functions in the power-sum basis: dicts from a partition (a
+# weakly decreasing tuple) to its Fraction coefficient.
+
+
+def z_number(rho):
+    """z_rho = prod_k k^m_k m_k!, with m_k parts of rho equal to k, so that
+    <p_rho, p_sigma> = z_rho when rho == sigma and 0 otherwise."""
+    out = 1
+    for k in set(rho):
+        m = rho.count(k)
+        out *= k**m * factorial(m)
+    return out
+
+
+def power_sum_product(f, g):
+    """f g in the power-sum basis: p_rho p_sigma = p_(rho joined with sigma)."""
+    out = {}
+    for rho, a in f.items():
+        for sigma, b in g.items():
+            key = tuple(sorted(rho + sigma, reverse=True))
+            out[key] = out.get(key, 0) + a * b
+    return out
+
+
+@lru_cache(maxsize=None)
+def schur_plethysm(alpha, sign):
+    """s_alpha[h_2] (sign 1) or s_alpha[e_2] (sign -1) in power sums.
+    s_alpha = sum_rho chi^alpha(rho) p_rho / z_rho (Macdonald I.7), and
+    plethysm by h_2 or e_2 is multiplicative on p_rho, with
+    p_k[h_2] = (p_k^2 + p_2k) / 2 and p_k[e_2] = (p_k^2 - p_2k) / 2
+    (Macdonald I.8)."""
+    out = {}
+    for rho in partition_tuples(sum(alpha)):
+        term = {(): Fraction(mn_character(alpha, rho), z_number(rho))}
+        for k in rho:
+            term = power_sum_product(term, {(k, k): Fraction(1, 2), (2 * k,): Fraction(sign, 2)})
+        for key, v in term.items():
+            out[key] = out.get(key, 0) + v
+    return out
+
+
+def plethysm_column(shapes, alpha, beta):
+    """<s_lambda, s_alpha[h_2] s_beta[e_2]> for each lambda in ``shapes``:
+    with c_sigma the power-sum coefficients of the product, the pairing is
+    sum_sigma c_sigma chi^lambda(sigma), as <p_sigma, p_sigma> = z_sigma.
+    For |alpha| + |beta| = N this is the multiplicity of chi^(alpha, beta)
+    in chi^lambda restricted from S_2N to S_2 wr S_N (Macdonald I.8 and
+    Appendix B)."""
+    coeffs = power_sum_product(schur_plethysm(alpha, 1), schur_plethysm(beta, -1))
+    out = []
+    for lam in shapes:
+        value = sum(c * mn_character(lam, sigma) for sigma, c in coeffs.items())
+        if value.denominator != 1:
+            raise ArithmeticError(f"pairing of {lam} with ({alpha}, {beta}) is {value}")
+        out.append(int(value))
+    return tuple(out)
+
+
 def conjugate_partition(parts):
     """The transpose of ``parts``: entry j counts the parts larger than j."""
     return tuple(sum(1 for p in parts if p > j) for j in range(parts[0] if parts else 0))

@@ -11,12 +11,12 @@ from hobchar.chains import (
     sym_chain,
     weyl_matrix,
 )
-from hobchar.combinatorics import partitions
+from hobchar.combinatorics import Partition, partitions
 from hobchar.hyperoct import hob_irreducible_table
 from hobchar.symmetric import sym_irreducible_table
 from hobchar.tables import ExactnessError
 
-from _oracles import naive_mat_mul
+from _oracles import naive_mat_mul, partition_tuples
 
 # Frozen one-box matrices and chain products.
 WEYL_4 = ((1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 1, 1), (0, 0, 1))
@@ -79,6 +79,27 @@ class TestWeylMatrix:
             corners = len(set(lam.parts))
             assert sum(row) == corners
             assert set(row) <= {0, 1}
+
+    @pytest.mark.parametrize(
+        "n", [*range(2, 13), *(pytest.param(n, marks=pytest.mark.slow) for n in range(13, 19))]
+    )
+    def test_entry_is_one_exactly_when_mu_fits_in_lam(self, n):
+        # mu, one box smaller, arises from lam by a one-box removal exactly
+        # when mu_i <= lam_i for every i (mu padded with zeros)
+        m = weyl_matrix(n)
+        rows, cols = partition_tuples(n), partition_tuples(n - 1)
+        assert [lam.parts for lam in m.row_labels] == rows
+        assert [mu.parts for mu in m.col_labels] == cols
+        for lam, row in zip(rows, m.entries):
+            fits = [len(mu) <= len(lam) and all(v <= w for v, w in zip(mu, lam)) for mu in cols]
+            assert row == tuple(map(int, fits)), lam
+
+    def test_builds_no_partition(self, monkeypatch):
+        partitions(9), partitions(10)  # the cached labels, built before the count
+        built = []
+        monkeypatch.setattr(Partition, "__post_init__", lambda self: built.append(self))
+        weyl_matrix(10)
+        assert built == []
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_every_column_hit(self, n):

@@ -1,17 +1,19 @@
 """The irreducible tables X (of S_n) and Y (of the rank-N group), their
-transition factors Delta and T, and the branching matrix R1 against closed
-formulas that share no code with the pipeline: Murnaghan-Nakayama from
-beta-numbers for every entry of X and Y, Kostka numbers for every entry
-of Delta and T, and the four linear characters of Y with their columns
-of R1."""
+transition factors Delta and T, and the branching matrices R1 and R2
+against closed formulas that share no code with the pipeline:
+Murnaghan-Nakayama from beta-numbers for every entry of X and Y, Kostka
+numbers for every entry of Delta and T, the four linear characters of Y
+with their columns of R1, plethysm with h_2 and e_2 for every entry of
+R1, and through eq8 (R2 T = Delta R1) with those three factors, R2."""
 
+from functools import lru_cache
 from itertools import product
 from math import comb
 
 import pytest
 
 from hobchar.hyperoct import hob_irreducible_table
-from hobchar.reduction import reduce_irreducible
+from hobchar.reduction import reduce_induced, reduce_irreducible
 from hobchar.symmetric import sym_irreducible_table
 
 from _oracles import (
@@ -21,6 +23,9 @@ from _oracles import (
     kostka,
     mn_bipartition_character,
     mn_character,
+    naive_mat_mul,
+    plethysm_column,
+    transpose,
 )
 
 
@@ -127,3 +132,34 @@ def test_linear_columns_of_r1(n):
             b == tuple(v + 1 for v in a),
         )
         assert tuple(row[k] for k in columns) == tuple(map(int, expected)), lam.label
+
+
+@lru_cache(maxsize=None)
+def plethysm_r1(rows, columns):
+    """R1 over the partitions ``rows`` of 2N and, by the label rule, the
+    labels ``columns`` of Y: entry <s_lambda, s_alpha[h_2] s_beta[e_2]>."""
+    shapes = tuple(lam.parts for lam in rows)
+    return transpose([plethysm_column(shapes, *bipartition(label)) for label in columns])
+
+
+@pytest.mark.parametrize("n", [*range(1, 7), *slow(7, 8)])
+def test_r1_is_a_plethysm(n):
+    # Res chi^lambda has <s_lambda, s_alpha[h_2] s_beta[e_2]> copies of
+    # chi^(alpha, beta) (Macdonald I.8 and Appendix B)
+    r1 = reduce_irreducible(n)
+    expected = plethysm_r1(r1.row_labels, r1.col_labels)
+    for lam, row, want in zip(r1.row_labels, r1.entries, expected):
+        assert row == want, lam.label
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_r2_satisfies_eq8_with_code_disjoint_factors(n):
+    # R2 T = Delta R1 with Delta and T from Kostka numbers and R1 from
+    # plethysm, so R2 is pinned by factors that share no code with it
+    r2 = reduce_induced(n)
+    width = len(r2.col_labels)
+    columns = [bipartition(label) for label in r2.col_labels]
+    t = [[kostka_product(a, b, label) for a, b in columns] for label in r2.col_labels]
+    delta = [[kostka(mu.parts, lam.parts) for mu in r2.row_labels] for lam in r2.row_labels]
+    r1 = plethysm_r1(r2.row_labels, r2.col_labels)
+    assert naive_mat_mul(r2.entries, t, width) == naive_mat_mul(delta, r1, width)
