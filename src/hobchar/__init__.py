@@ -23,12 +23,10 @@ from hobchar.combinatorics import (
     sign_flag_vectors,
 )
 from hobchar.embedding import (
-    FusionMap,
     fuse_class,
     fusion_map,
     intersection_orders,
     modified_tables,
-    modify_table,
     permutation_character_F,
 )
 from hobchar.hyperoct import (

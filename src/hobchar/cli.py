@@ -29,6 +29,7 @@ from hobchar.serialize import (
     CACHE_ENV_VAR,
     FORMATS,
     GROUPS,
+    KINDS,
     CacheWarning,
     TableCache,
     TableDocument,
@@ -41,13 +42,7 @@ SYM_DEFAULT_CAP = 12      # S_n degree for the formula pipeline
 HOB_DEFAULT_CAP = 6       # rank for the formula pipeline
 ORACLE_DEFAULT_CAP = 5    # rank for brute-force checks
 
-TABLE_KINDS = (
-    "induced",
-    "irreducible",
-    "modified-induced",
-    "modified-irreducible",
-    "transition",
-)
+TABLE_KINDS = tuple(k for k in KINDS if k not in ("fchar", "branching"))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Partition:
     """A weakly decreasing tuple of positive integers."""
 
@@ -76,18 +76,13 @@ def sign_flag_vectors(partition: Partition) -> tuple[tuple[int, ...], ...]:
     increasing.
 
     A flag vector must be non-decreasing along every run of equal parts,
-    so for (1,1) the vectors are (0,0), (0,1), (1,1) and (1,0) is skipped.
+    so for (1,1) the vectors are (0,0), (0,1), (1,1) and (1,0) is skipped:
+    a run of m parts takes one of its m + 1 vectors 0...01...1, and the
+    runs combine by product.
     """
-    k = len(partition)
-    out = []
-    for cand in itertools.product((0, 1), repeat=k):
-        if all(
-            cand[i] <= cand[i + 1]
-            for i in range(k - 1)
-            if partition[i] == partition[i + 1]
-        ):
-            out.append(cand)
-    return tuple(out)
+    runs = [len(tuple(run)) for _, run in itertools.groupby(partition)]
+    choices = [[(0,) * (m - j) + (1,) * j for j in range(m + 1)] for m in runs]
+    return tuple(sum(cand, ()) for cand in itertools.product(*choices))
 
 
 def _place(cycles, memo, i, states):

@@ -11,7 +11,6 @@ heuristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 from hobchar.combinatorics import Partition
@@ -29,21 +28,13 @@ def fuse_class(alpha: AlphaSystem, n: int) -> Partition:
     return Partition(tuple(sorted(lengths, reverse=True)))
 
 
-@dataclass(frozen=True)
-class FusionMap:
-    """The class fusion for one rank.
-
-    ``images[k]`` is the ambient cycle type of subgroup class ``k`` (in
-    class-column order); ``intersection_orders[c]`` is the total size of
-    the subgroup classes landing on ambient class ``c`` (the order of the
-    ambient class's intersection with the subgroup).
-    """
-
-    images: tuple[Partition, ...]
-    intersection_orders: tuple[int, ...]
-
-
-def fusion_map(n: int) -> FusionMap:
+def fusion_map(n: int):
+    """The class fusion for rank ``n`` as the pair ``(images,
+    intersection_orders)``: ``images[k]`` is the ambient cycle type of
+    subgroup class ``k`` (in class-column order), and
+    ``intersection_orders[c]`` is the total size of the subgroup classes
+    landing on ambient class ``c`` (the order of the ambient class's
+    intersection with the subgroup)."""
     sym_cols = sym_classes(2 * n)
     col_index = {ct: c for c, (ct, _) in enumerate(sym_cols)}
     images = []
@@ -56,14 +47,14 @@ def fusion_map(n: int) -> FusionMap:
         raise ExactnessError(
             f"intersection orders sum to {sum(inter)}, not the group order {group_order(n)}"
         )
-    return FusionMap(images=tuple(images), intersection_orders=tuple(inter))
+    return tuple(images), tuple(inter)
 
 
 def intersection_orders(n: int) -> tuple[int, ...]:
     """For each class of S_2N, the number of its elements lying in the
     embedded rank-n signed-permutation group (zero when the class misses
     it)."""
-    return fusion_map(n).intersection_orders
+    return fusion_map(n)[1]
 
 
 def permutation_character_F(n: int) -> tuple[int, ...]:
@@ -100,16 +91,10 @@ def recolumn(table: CharacterTable, images, n: int) -> CharacterTable:
     )
 
 
-def modify_table(table: CharacterTable, n: int) -> CharacterTable:
-    """Re-column an S_2N table over the subgroup's classes along the
-    class fusion."""
-    if table.col_labels != tuple(ct for ct, _ in sym_classes(2 * n)):
-        raise ValueError("table columns must be exactly the ambient classes")
-    return recolumn(table, fusion_map(n).images, n)
-
-
 def modified_tables(n: int):
     """(induced', irreducible') over the subgroup's classes, sharing the
-    ambient transition matrix."""
+    ambient transition matrix: both S_2N tables re-columned along one
+    class fusion."""
+    images, _ = fusion_map(n)
     x, _ = sym_irreducible_table(2 * n)
-    return modify_table(sym_induced_table(2 * n), n), modify_table(x, n)
+    return recolumn(sym_induced_table(2 * n), images, n), recolumn(x, images, n)

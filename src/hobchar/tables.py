@@ -6,8 +6,9 @@ exact integer and any rounding would be a silent bug.  A weighted inner
 product is an integer class sum divided once by the group order, and a
 remainder raises :class:`ExactnessError`.
 
-Every p^3 stage is one exact product.  A row of integers is packed into one
-Python int with a fixed-width signed slot per entry (Kronecker
+Every p^3 stage but R2's :func:`triangular_solve`, still an interpreted
+substitution loop, is one exact product.  A row of integers is packed into
+one Python int with a fixed-width signed slot per entry (Kronecker
 substitution), so a row of a product is a sum of scalar x packed-row
 products done in C.  A slot's width comes from a bound on every value it
 must hold, and decoding reads the slots off byte-aligned; anything left
@@ -227,6 +228,7 @@ def mat_mul(a, b):
     max|a| * max|b| * len(b), which bounds every entry of the product,
     and at least max|b|, so that the rows of ``b`` fit.  Shapes that do
     not match raise ``ValueError``."""
+    a = tuple(a)
     width = len(b[0]) if b else 0
     if any(len(row) != len(b) for row in a) or any(len(row) != width for row in b):
         raise ValueError("matrix shapes do not match")

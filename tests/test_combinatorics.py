@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +84,24 @@ class TestSignFlags:
                 for i in range(len(f) - 1):
                     if lam[i] == lam[i + 1]:
                         assert f[i] <= f[i + 1]
+
+    @pytest.mark.parametrize("n", range(15))
+    def test_matches_filtered_candidates(self, n):
+        # the definition: every 0/1 vector in lexicographic order, kept when
+        # it does not decrease along a run of equal parts
+        for lam in partitions(n):
+            expected = tuple(
+                cand
+                for cand in itertools.product((0, 1), repeat=len(lam))
+                if all(cand[i] <= cand[i + 1] for i in range(len(lam) - 1) if lam[i] == lam[i + 1])
+            )
+            assert sign_flag_vectors(lam) == expected
+
+    def test_long_run_is_not_filtered_from_all_vectors(self):
+        # 2**60 candidates could not be enumerated; the run has 61 vectors
+        flags = sign_flag_vectors(P(*(1,) * 60))
+        assert len(flags) == 61
+        assert flags[0] == (0,) * 60 and flags[-1] == (1,) * 60
 
 
 class TestEvenPartitionCount:

@@ -10,7 +10,6 @@ from hobchar.embedding import (
     fusion_map,
     intersection_orders,
     modified_tables,
-    modify_table,
     permutation_character_F,
 )
 from hobchar.hyperoct import AlphaSystem, group_order, hob_classes
@@ -97,8 +96,9 @@ class TestIntersectionOrders:
             fusion_map(2)
 
     def test_fusion_map_directions(self):
-        fm = fusion_map(2)
-        assert [ct.label for ct in fm.images] == ["1,1,1,1", "2,1,1", "2,2", "2,2", "4"]
+        images, inter = fusion_map(2)
+        assert [ct.label for ct in images] == ["1,1,1,1", "2,1,1", "2,2", "2,2", "4"]
+        assert inter == (1, 2, 3, 0, 2)
 
     def test_fusion_matches_explicit_action_rank4(self):
         expected = {}
@@ -167,9 +167,12 @@ class TestModifiedTables:
         assert phi_mod.entries == sym_induced_table(2).entries
         assert x_mod.entries == sym_irreducible_table(2)[0].entries
 
-    def test_requires_ambient_columns(self):
-        with pytest.raises(ValueError):
-            modify_table(sym_induced_table(3), 2)
+    def test_builds_one_fusion(self, monkeypatch):
+        calls = []
+        real = embedding.fusion_map
+        monkeypatch.setattr(embedding, "fusion_map", lambda n: calls.append(n) or real(n))
+        modified_tables(3)
+        assert calls == [3]
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_shared_transition_matrix(self, n):

@@ -4,7 +4,9 @@ from math import factorial
 
 import pytest
 
+import hobchar
 from hobchar import reduction
+from hobchar.chains import method_b_verify
 from hobchar.embedding import modified_tables, permutation_character_F
 from hobchar.hyperoct import hob_induced_table, hob_irreducible_table
 from hobchar.reduction import (
@@ -14,7 +16,7 @@ from hobchar.reduction import (
     verify_consistency,
 )
 from hobchar.symmetric import sym_classes, sym_irreducible_table
-from hobchar.tables import ExactnessError
+from hobchar.tables import ExactnessError, first_orthogonality_failure
 
 from _oracles import fraction_solve, naive_mat_mul, transpose
 
@@ -202,6 +204,17 @@ class TestConsistency:
     def test_report_shape(self):
         report = verify_consistency(2)
         assert report.to_dict() == {"check": "eq8", "n": 2, "pass": True}
+
+    @pytest.mark.parametrize(
+        "n", [6, *(pytest.param(n, marks=pytest.mark.slow) for n in (7, 8, 9))]
+    )
+    def test_package_checks_from_cold_caches(self, n):
+        # every table of the rank built anew, then each check the package runs
+        hobchar.clear_caches()
+        for report in (verify_consistency(n), method_b_verify(n)):
+            assert report.passed, report.line()
+        for table in (sym_irreducible_table(2 * n)[0], hob_irreducible_table(n)[0]):
+            assert first_orthogonality_failure(table) is None
 
 
 class TestBranchingMatrix:

@@ -318,6 +318,9 @@ class TestMatMul:
         assert mat_mul(((), ()), ()) == ((), ())
         assert mat_mul((), ()) == ()
 
+    def test_one_shot_left_factor(self):
+        assert mat_mul(iter(((1,),)), ((2,),)) == ((2,),)
+
     @pytest.mark.parametrize(
         "a, b",
         [
