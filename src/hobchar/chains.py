@@ -28,14 +28,14 @@ def weyl_matrix(n: int) -> BranchingMatrix:
         raise ValueError("n must be >= 2")
     rows = partitions(n)
     cols = partitions(n - 1)
-    col_index = {p.parts: j for j, p in enumerate(cols)}
+    col_index = {p: j for j, p in enumerate(cols)}
     entries = []
     for lam in rows:
-        parts, row = lam.parts, [0] * len(cols)
-        for i, p in enumerate(parts):
+        row = [0] * len(cols)
+        for i, p in enumerate(lam):
             # only a removable corner: the last part of its run of equal parts
-            if i + 1 == len(parts) or parts[i + 1] < p:
-                row[col_index[parts[:i] + (p - 1,) * (p > 1) + parts[i + 1 :]]] = 1
+            if i + 1 == len(lam) or lam[i + 1] < p:
+                row[col_index[lam[:i] + (p - 1,) * (p > 1) + lam[i + 1 :]]] = 1
         entries.append(tuple(row))
     return BranchingMatrix(rows, cols, tuple(entries))
 
@@ -53,7 +53,7 @@ def hob_restriction_matrix(n: int) -> BranchingMatrix:
         raise ValueError("n must be >= 2")
     y_big, _ = hob_irreducible_table(n)
     y_small, _ = hob_irreducible_table(n - 1)
-    images = [AlphaSystem(Partition(a.pos.parts + (1,)), a.neg) for a in y_small.col_labels]
+    images = [AlphaSystem(Partition(a.pos + (1,)), a.neg) for a in y_small.col_labels]
     return restriction_matrix(recolumn(y_big, images, n - 1), y_small)
 
 

@@ -38,8 +38,8 @@ from hobchar.serialize import (
 )
 from hobchar.tables import first_orthogonality_failure
 
-SYM_DEFAULT_CAP = 12      # S_n degree for the formula pipeline
 HOB_DEFAULT_CAP = 6       # rank for the formula pipeline
+SYM_DEFAULT_CAP = 2 * HOB_DEFAULT_CAP  # S_n degree: the ambient degree at that rank
 ORACLE_DEFAULT_CAP = 5    # rank for brute-force checks
 
 TABLE_KINDS = tuple(k for k in KINDS if k not in ("fchar", "branching"))
@@ -194,9 +194,8 @@ def _orthogonality_reports(n) -> list[CheckReport]:
             out.append(CheckReport(check=check, n=n, passed=True))
         else:
             i, j, got = fail
-            out.append(
-                mismatch(check, n, f"row {i}", f"row {j}", str(got), "orthogonality value")
-            )
+            row_i, row_j = table.row_labels[i], table.row_labels[j]
+            out.append(mismatch(check, n, row_i, row_j, str(got), "1" if i == j else "0"))
     return out
 
 

@@ -10,40 +10,31 @@ must never change their output order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A weakly decreasing tuple of positive integers."""
+class Partition(tuple):
+    """A weakly decreasing tuple of positive integers: equal to, and
+    hashed as, the plain tuple of its parts."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if any(not isinstance(p, int) or p < 1 for p in self.parts):
-            raise ValueError(f"parts must be positive integers: {self.parts!r}")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError(f"parts must be weakly decreasing: {self.parts!r}")
+    def __new__(cls, parts):
+        self = super().__new__(cls, parts)
+        if any(not isinstance(p, int) or p < 1 for p in self):
+            raise ValueError(f"parts must be positive integers: {self!r}")
+        if any(a < b for a, b in zip(self, self[1:])):
+            raise ValueError(f"parts must be weakly decreasing: {self!r}")
+        return self
 
     @property
     def weight(self) -> int:
-        return sum(self.parts)
+        return sum(self)
 
     @property
     def label(self) -> str:
         """Canonical text form: comma-joined parts, e.g. ``"4,2,1"``."""
-        return ",".join(str(p) for p in self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
+        return ",".join(map(str, self))
 
     def __str__(self):
         return self.label

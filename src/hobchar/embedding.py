@@ -25,7 +25,7 @@ def fuse_class(alpha: AlphaSystem, n: int) -> Partition:
     if alpha.weight != n:
         raise ValueError(f"class {alpha.label!r} does not have weight {n}")
     lengths = [*alpha.pos, *alpha.pos, *(2 * i for i in alpha.neg)]
-    return Partition(tuple(sorted(lengths, reverse=True)))
+    return Partition(sorted(lengths, reverse=True))
 
 
 def fusion_map(n: int):

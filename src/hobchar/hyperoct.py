@@ -105,23 +105,22 @@ class SignedSubgroupLabel:
         positive when its flag is 1."""
         pairs = tuple(zip(self.partition, self.flags))
         return AlphaSystem(
-            Partition(tuple(p for p, f in pairs if f)),
-            Partition(tuple(p for p, f in pairs if not f)),
+            Partition(p for p, f in pairs if f),
+            Partition(p for p, f in pairs if not f),
         )
 
 
 @lru_cache(maxsize=None)
-def hob_subgroups(n: int) -> tuple[tuple[SignedSubgroupLabel, int], ...]:
-    """All canonical subgroup labels with orders: partitions in canonical
-    order, flags in increasing lexicographic order within each partition."""
+def hob_subgroups(n: int) -> tuple[SignedSubgroupLabel, ...]:
+    """All canonical subgroup labels: partitions in canonical order, flags
+    in increasing lexicographic order within each partition."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = []
-    for lam in partitions(n):
-        for flags in sign_flag_vectors(lam):
-            label = SignedSubgroupLabel(lam, flags)
-            out.append((label, label.subgroup_order()))
-    return tuple(out)
+    return tuple(
+        SignedSubgroupLabel(lam, flags)
+        for lam in partitions(n)
+        for flags in sign_flag_vectors(lam)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +128,7 @@ def hob_classes(n: int) -> tuple[tuple[AlphaSystem, int], ...]:
     """All classes with orders, in the mirror of the subgroup row order
     (identity class first)."""
     out = []
-    for label, _ in reversed(hob_subgroups(n)):
+    for label in reversed(hob_subgroups(n)):
         alpha = label.alpha_system()
         out.append((alpha, alpha.class_order()))
     return tuple(out)
@@ -140,10 +139,11 @@ def hob_induced_table(n: int) -> CharacterTable:
     """The induced table: rows over canonical subgroups, columns over
     classes, computed a column at a time."""
     classes = hob_classes(n)
-    subgroups = [(label.partition.parts, label.flags) for label, _ in hob_subgroups(n)]
-    columns = [induced_column(a.pos.parts, a.neg.parts, subgroups) for a, _ in classes]
+    labels = hob_subgroups(n)
+    subgroups = [(label.partition, label.flags) for label in labels]
+    columns = [induced_column(a.pos, a.neg, subgroups) for a, _ in classes]
     return CharacterTable(
-        row_labels=tuple(label for label, _ in hob_subgroups(n)),
+        row_labels=labels,
         col_labels=tuple(a for a, _ in classes),
         col_class_orders=tuple(order for _, order in classes),
         entries=tuple(zip(*columns)),

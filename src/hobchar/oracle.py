@@ -66,11 +66,6 @@ def _signed_lengths(g: Element) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(pos), tuple(neg)
 
 
-def alpha_system(g: Element) -> AlphaSystem:
-    """The signed cycle lengths of ``g`` as a class label."""
-    return AlphaSystem(*map(Partition, _signed_lengths(g)))
-
-
 def conjugate(g: Element, x: Element) -> Element:
     """x * g * x^-1, in one pass over the points.
 
@@ -142,11 +137,6 @@ def _ambient_lengths(g: Element, n: int) -> tuple[int, ...]:
         lengths.append(length)
     lengths.sort(reverse=True)
     return tuple(lengths)
-
-
-def ambient_cycle_type(g: Element, n: int) -> Partition:
-    """Cycle type of the ambient image of ``g``; independent cycle count."""
-    return Partition(_ambient_lengths(g, n))
 
 
 @dataclass(frozen=True)
@@ -305,9 +295,10 @@ def oracle_restriction(n: int) -> BranchingMatrix:
 
     x, _ = sym_irreducible_table(2 * n)
     y, _ = hob_irreducible_table(n)
-    # columns keyed by plain cycle-length tuples: no label built per element
-    x_col = {ct.parts: c for c, ct in enumerate(x.col_labels)}
-    y_col = {(a.pos.parts, a.neg.parts): c for c, a in enumerate(y.col_labels)}
+    # columns keyed by their labels and looked up by the plain cycle-length
+    # tuples, which equal them: no label built per element
+    x_col = {ct: c for c, ct in enumerate(x.col_labels)}
+    y_col = {(a.pos, a.neg): c for c, a in enumerate(y.col_labels)}
     elements = enumerate_group(n)
     order = len(elements)
     # each irreducible row's value at every element, as one flat list

@@ -21,7 +21,7 @@ def class_order(cycle_type: Partition) -> int:
     """Order of the class of S_n with these cycle lengths:
     n! / prod_i (i**m_i m_i!), m_i the number of i-cycles."""
     denom = 1
-    for i, m in Counter(cycle_type.parts).items():
+    for i, m in Counter(cycle_type).items():
         denom *= i**m * factorial(m)
     return exact_div(
         factorial(cycle_type.weight), denom, f"class order of {cycle_type.label!r}"
@@ -42,8 +42,8 @@ def sym_induced_table(n: int) -> CharacterTable:
     """The induced table: rows over partitions of n, columns over classes,
     computed a column at a time."""
     classes = sym_classes(n)
-    rows = [(lam.parts, (0,) * len(lam)) for lam in partitions(n)]
-    columns = [induced_column(ct.parts, (), rows) for ct, _ in classes]
+    rows = [(lam, (0,) * len(lam)) for lam in partitions(n)]
+    columns = [induced_column(ct, (), rows) for ct, _ in classes]
     return CharacterTable(
         row_labels=partitions(n),
         col_labels=tuple(ct for ct, _ in classes),

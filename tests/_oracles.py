@@ -411,10 +411,10 @@ def inverse(g):
 
 
 def class_data_by_closure(n):
-    """The oracle's classes as (size, representative, cycle-sign label,
-    ambient label), by the three-product conjugation closure x * g * x^-1
-    over every element, in order of first occurrence."""
-    from hobchar.oracle import alpha_system, ambient_cycle_type, enumerate_group
+    """The oracle's classes as (size, representative, signed cycle
+    lengths, ambient cycle lengths), by the three-product conjugation
+    closure x * g * x^-1 over every element, in order of first occurrence."""
+    from hobchar.oracle import _ambient_lengths, _signed_lengths, enumerate_group
 
     elements = enumerate_group(n)
     assigned = set()
@@ -425,7 +425,7 @@ def class_data_by_closure(n):
         members = {mul(mul(x, g), inverse(x)) for x in elements}
         assigned |= members
         rep = min(members)
-        out.append((len(members), rep, alpha_system(rep).label, ambient_cycle_type(rep, n).label))
+        out.append((len(members), rep, _signed_lengths(rep), _ambient_lengths(rep, n)))
     return out
 
 
@@ -472,7 +472,7 @@ def sym_induced_char(lam, cycle_type):
             f"weight mismatch: partition {lam.label!r} has weight {lam.weight}, "
             f"class {cycle_type.label!r} has weight {cycle_type.weight}"
         )
-    return induced_column(cycle_type.parts, (), [(lam.parts, (0,) * len(lam))])[0]
+    return induced_column(cycle_type, (), [(lam, (0,) * len(lam))])[0]
 
 
 def hob_induced_char(subgroup, alpha):
@@ -485,8 +485,8 @@ def hob_induced_char(subgroup, alpha):
             f"weight mismatch: subgroup {subgroup.label!r} has weight "
             f"{subgroup.weight}, class {alpha.label!r} has weight {alpha.weight}"
         )
-    rows = [(subgroup.partition.parts, subgroup.flags)]
-    return induced_column(alpha.pos.parts, alpha.neg.parts, rows)[0]
+    rows = [(subgroup.partition, subgroup.flags)]
+    return induced_column(alpha.pos, alpha.neg, rows)[0]
 
 
 def parse_csv(text):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -258,20 +259,51 @@ class TestVerifyCommand:
     def test_row_orthogonality_failure_report(self, capsys, monkeypatch):
         import hobchar.cli as cli_mod
 
-        monkeypatch.setattr(
-            cli_mod, "first_orthogonality_failure", lambda table: (0, 1, Fraction(1, 2))
-        )
+        # the two rows by their labels, the inner product found and the one
+        # expected: 0 off the diagonal, 1 on it
+        for fail, row_label, col_label, rhs in (
+            ((0, 1, Fraction(1, 2)), "2", "1,1", "0"),
+            ((1, 1, Fraction(1, 2)), "1,1", "1,1", "1"),
+        ):
+            monkeypatch.setattr(cli_mod, "first_orthogonality_failure", lambda table: fail)
+            code, out, _ = invoke(
+                capsys, "verify", "--check", "orthogonality", "--n", "1", "--format", "json"
+            )
+            assert code == 1
+            report = json.loads(out)["reports"][0]
+            assert report["first_mismatch"] == {
+                "row_label": row_label,
+                "col_label": col_label,
+                "lhs": "1/2",
+                "rhs": rhs,
+            }
+
+    def test_bumped_table_fails_orthogonality_end_to_end(self, capsys, monkeypatch):
+        # the degree of chi^(3,1) off by one: rows 4 and 3,1 of the S_4 table
+        # then have weighted inner product 1/24, not 0
+        from hobchar import symmetric
+
+        real = symmetric.sym_irreducible_table
+
+        def bumped(n):
+            x, factor = real(n)
+            entries = [list(row) for row in x.entries]
+            entries[1][0] += 1
+            return dataclasses.replace(x, entries=tuple(map(tuple, entries))), factor
+
+        monkeypatch.setattr(symmetric, "sym_irreducible_table", bumped)
         code, out, _ = invoke(
-            capsys, "verify", "--check", "orthogonality", "--n", "1", "--format", "json"
+            capsys, "verify", "--check", "orthogonality", "--n", "2", "--format", "json"
         )
         assert code == 1
-        report = json.loads(out)["reports"][0]
-        assert report["first_mismatch"] == {
-            "row_label": "row 0",
-            "col_label": "row 1",
-            "lhs": "1/2",
-            "rhs": "orthogonality value",
+        sym, hyperoct = json.loads(out)["reports"]
+        assert sym == {
+            "check": "orthogonality-sym",
+            "n": 2,
+            "pass": False,
+            "first_mismatch": {"row_label": "4", "col_label": "3,1", "lhs": "1/24", "rhs": "0"},
         }
+        assert hyperoct == {"check": "orthogonality-hyperoct", "n": 2, "pass": True}
 
     def test_all_rank2(self, capsys):
         code, out, _ = invoke(capsys, "verify", "--check", "all", "--n", "2")

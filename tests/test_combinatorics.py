@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -27,8 +28,43 @@ class TestPartition:
         assert P(4, 2, 1).label == "4,2,1"
         assert Partition(()).label == ""
 
+    def test_equals_and_hashes_as_its_tuple(self):
+        lam = P(3, 1)
+        assert lam == (3, 1) and (3, 1) == lam
+        assert hash(lam) == hash((3, 1))
+        assert {lam: "found"}[(3, 1)] == "found"
+        assert {(3, 1): "found"}[lam] == "found"
+        assert isinstance(lam, tuple)
+        assert len(lam) == 2 and lam[0] == 3 and list(lam) == [3, 1]
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            ((2, 0), "parts must be positive integers: (2, 0)"),
+            ((2, 1.0), "parts must be positive integers: (2, 1.0)"),
+            ((1, 2), "parts must be weakly decreasing: (1, 2)"),
+        ],
+    )
+    def test_validation_messages(self, parts, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Partition(parts)
+
+    def test_no_attributes(self):
+        lam = P(2, 1)
+        assert not hasattr(lam, "__dict__")
+        assert not hasattr(lam, "parts")
+        with pytest.raises(AttributeError):
+            lam.parts = (2, 1)
+        with pytest.raises(AttributeError):
+            lam.weight = 3
+
+    def test_text_forms(self):
+        assert str(P(4, 2, 1)) == "4,2,1" == P(4, 2, 1).label
+        assert str(P(1)) == "1" and str(Partition(())) == ""
+        assert f"{P(2, 2)}" == "2,2"
+
     def test_order_of_four(self):
-        assert [p.parts for p in partitions(4)] == [
+        assert list(partitions(4)) == [
             (4,),
             (3, 1),
             (2, 2),
@@ -50,7 +86,7 @@ class TestPartition:
         ps = partitions(n)
         assert len(ps) == partition_count(n)
         for a, b in zip(ps, ps[1:]):
-            assert a.parts > b.parts
+            assert a > b
 
     @given(st.integers(min_value=0, max_value=12))
     def test_weights(self, n):

@@ -13,7 +13,7 @@ from hobchar.embedding import (
     permutation_character_F,
 )
 from hobchar.hyperoct import AlphaSystem, group_order, hob_classes
-from hobchar.oracle import alpha_system, ambient_cycle_type, enumerate_group
+from hobchar.oracle import _ambient_lengths, _signed_lengths, enumerate_group
 from hobchar.symmetric import sym_classes, sym_induced_table, sym_irreducible_table
 from hobchar.tables import ExactnessError
 
@@ -59,11 +59,10 @@ class TestFusion:
         # ambient cycle types read off every element agree with the rule
         expected = {}
         for g in enumerate_group(n):
-            label = alpha_system(g).label
-            ambient = ambient_cycle_type(g, n).label
-            assert expected.setdefault(label, ambient) == ambient
+            ambient = _ambient_lengths(g, n)
+            assert expected.setdefault(_signed_lengths(g), ambient) == ambient
         for alpha, _ in hob_classes(n):
-            assert fuse_class(alpha, n).label == expected[alpha.label]
+            assert fuse_class(alpha, n) == expected[alpha.pos, alpha.neg]
 
 
 class TestIntersectionOrders:
@@ -79,7 +78,7 @@ class TestIntersectionOrders:
         count = sum(
             1
             for g in enumerate_group(3)
-            if ambient_cycle_type(g, 3).label == "2,2,2"
+            if _ambient_lengths(g, 3) == (2, 2, 2)
         )
         assert count == 7
         idx = [c.label for c, _ in sym_classes(6)].index("2,2,2")
@@ -103,11 +102,10 @@ class TestIntersectionOrders:
     def test_fusion_matches_explicit_action_rank4(self):
         expected = {}
         for g in enumerate_group(4):
-            label = alpha_system(g).label
-            ambient = ambient_cycle_type(g, 4).label
-            assert expected.setdefault(label, ambient) == ambient
+            ambient = _ambient_lengths(g, 4)
+            assert expected.setdefault(_signed_lengths(g), ambient) == ambient
         for alpha, _ in hob_classes(4):
-            assert fuse_class(alpha, 4).label == expected[alpha.label]
+            assert fuse_class(alpha, 4) == expected[alpha.pos, alpha.neg]
 
 
 class TestPermutationCharacter:

@@ -68,7 +68,7 @@ class TestClasses:
 
 class TestSubgroups:
     def test_rank2_indices(self):
-        indices = [exact_div(group_order(2), order) for _, order in hob_subgroups(2)]
+        indices = [exact_div(group_order(2), h.subgroup_order()) for h in hob_subgroups(2)]
         assert indices == [1, 2, 2, 4, 8]
 
     def test_whole_group_and_trivial(self):

@@ -46,8 +46,8 @@ def signed_class(mu, negative):
 def test_unsigned_full_grid(n):
     for lam in partitions(n):
         for mu in partitions(n):
-            want = induced_value_by_expansion(mu.parts, lam.parts)
-            assert sym_cell(mu.parts, lam.parts) == want
+            want = induced_value_by_expansion(mu, lam)
+            assert sym_cell(mu, lam) == want
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -60,8 +60,8 @@ def test_signed_full_grid(n):
     for lam in partitions(n):
         for flags in itertools.product((0, 1), repeat=len(lam)):
             for pos, neg in classes:
-                want = signed_induced_value_by_expansion(pos, neg, lam.parts, flags)
-                assert cell(pos, neg, lam.parts, flags) == want
+                want = signed_induced_value_by_expansion(pos, neg, lam, flags)
+                assert cell(pos, neg, lam, flags) == want
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -69,17 +69,16 @@ def test_sym_induced_table_cells(n):
     table = sym_induced_table(n)
     for lam, row in zip(table.row_labels, table.entries):
         for mu, value in zip(table.col_labels, row):
-            assert value == induced_value_by_expansion(mu.parts, lam.parts)
+            assert value == induced_value_by_expansion(mu, lam)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_hob_induced_table_cells(n):
     table = hob_induced_table(n)
     for label, row in zip(table.row_labels, table.entries):
-        parts = label.partition.parts
         for alpha, value in zip(table.col_labels, row):
             want = signed_induced_value_by_expansion(
-                alpha.pos.parts, alpha.neg.parts, parts, label.flags
+                alpha.pos, alpha.neg, label.partition, label.flags
             )
             assert value == want
 
@@ -89,12 +88,12 @@ def test_column_memo_ignores_row_order(seed):
     # one memo serves a whole column; rows of other weights, which miss
     # the memo, are mixed in, and every value must match a one-row column
     rng = random.Random(seed)
-    rows = [lam.parts for m in (6, 7, 8) for lam in partitions(m)]
+    rows = [lam for m in (6, 7, 8) for lam in partitions(m)]
     for mu in partitions(7):
         shuffled = rng.sample(rows, len(rows))
-        want = [sym_cell(mu.parts, parts) for parts in shuffled]
-        assert list(induced_column(mu.parts, (), sym_rows(shuffled))) == want
-    subgroups = [(lam.parts, flags) for m in (4, 5) for lam in partitions(m)
+        want = [sym_cell(mu, parts) for parts in shuffled]
+        assert list(induced_column(mu, (), sym_rows(shuffled))) == want
+    subgroups = [(lam, flags) for m in (4, 5) for lam in partitions(m)
                  for flags in itertools.product((0, 1), repeat=len(lam))]
     for mu in partitions(5):
         pos, neg = signed_class(mu, [rng.randint(0, 1) for _ in mu])
@@ -109,7 +108,7 @@ def test_column_memo_is_freed_with_its_counter():
     gc.collect()
     gc.disable()
     try:
-        induced_column((1,) * 8, (), sym_rows(lam.parts for lam in partitions(8)))
+        induced_column((1,) * 8, (), sym_rows(partitions(8)))
         induced_column((1,) * 3, (1,), [((2, 2), (0, 1)), ((3, 1), (1, 0))])
         assert gc.collect() == 0
     finally:
@@ -121,8 +120,8 @@ def test_column_memo_is_freed_with_its_counter():
 def test_random_unsigned_cells(n, data):
     lam = data.draw(st.sampled_from(partitions(n)))
     mu = data.draw(st.sampled_from(partitions(n)))
-    want = induced_value_by_expansion(mu.parts, lam.parts)
-    assert sym_cell(mu.parts, lam.parts) == want
+    want = induced_value_by_expansion(mu, lam)
+    assert sym_cell(mu, lam) == want
 
 
 @given(st.integers(min_value=1, max_value=5), st.data())
@@ -132,8 +131,8 @@ def test_random_signed_cells(n, data):
     flags = data.draw(st.tuples(*(st.integers(0, 1) for _ in lam)))
     mu = data.draw(st.sampled_from(partitions(n)))
     pos, neg = signed_class(mu, data.draw(st.tuples(*(st.integers(0, 1) for _ in mu))))
-    want = signed_induced_value_by_expansion(pos, neg, lam.parts, flags)
-    assert cell(pos, neg, lam.parts, flags) == want
+    want = signed_induced_value_by_expansion(pos, neg, lam, flags)
+    assert cell(pos, neg, lam, flags) == want
 
 
 def test_weight_mismatch_is_zero():
@@ -165,7 +164,7 @@ def test_identity_column_is_index_past_int64():
     rows = sample(partitions(DEGREE), 40) + [partitions(DEGREE)[-1]]
     for lam in rows:
         index = factorial(DEGREE) // prod(map(factorial, lam))
-        assert sym_cell((1,) * DEGREE, lam.parts) == index
+        assert sym_cell((1,) * DEGREE, lam) == index
     assert sym_cell((1,) * DEGREE, (1,) * DEGREE) == factorial(DEGREE) > 2**63
 
 
@@ -179,13 +178,13 @@ def test_signed_identity_column_is_index_past_int64():
     for lam, flags in labels:
         subgroup = prod(2 ** (p - f) * factorial(p) for p, f in zip(lam, flags))
         index = 2**RANK * factorial(RANK) // subgroup
-        assert cell((1,) * RANK, (), lam.parts, flags) == index
+        assert cell((1,) * RANK, (), lam, flags) == index
     assert cell((1,) * RANK, (), (1,) * RANK, (1,) * RANK) > 2**63
 
 
 def test_whole_group_row_is_ones():
     for mu in partitions(DEGREE):
-        assert sym_cell(mu.parts, (DEGREE,)) == 1
+        assert sym_cell(mu, (DEGREE,)) == 1
     rng = random.Random(0)
     for mu in sample(partitions(RANK), 60):
         pos, neg = signed_class(mu, [rng.randint(0, 1) for _ in mu])

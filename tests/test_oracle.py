@@ -18,8 +18,6 @@ from hobchar.hyperoct import (
 )
 from hobchar.embedding import fuse_class
 from hobchar.oracle import (
-    alpha_system,
-    ambient_cycle_type,
     conjugate,
     enumerate_group,
     oracle_agreement,
@@ -106,12 +104,12 @@ class TestSignedPermutation:
 
     def test_single_flip_is_transposition(self):
         g = ((1, 2), (-1, 1))
-        assert ambient_cycle_type(g, 2).label == "2,1,1"
+        assert oracle._ambient_lengths(g, 2) == (2, 1, 1)
 
     def test_negative_two_cycle_is_four_cycle(self):
         g = ((2, 1), (1, -1))
-        assert alpha_system(g).label == "2-:1"
-        assert ambient_cycle_type(g, 2).label == "4"
+        assert oracle._signed_lengths(g) == ((), (2,))
+        assert oracle._ambient_lengths(g, 2) == (4,)
 
 
 class TestClassData:
@@ -169,7 +167,7 @@ class TestClassData:
     @pytest.mark.parametrize("n", (1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)))
     def test_matches_conjugation_closure(self, n):
         got = [
-            (c.size, c.representative, c.alpha.label, c.ambient.label)
+            (c.size, c.representative, (c.alpha.pos, c.alpha.neg), c.ambient)
             for c in oracle_class_data(n)
         ]
         assert got == class_data_by_closure(n)
@@ -217,20 +215,15 @@ class TestClassData:
 
     @pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
     def test_class_labels_are_built_from_the_length_tuples(self, n):
-        # one label per class, equal to the wrapper's label at the
-        # representative; below rank 4 every element's wrapper is checked
-        # against the tuple it wraps
+        # one label per class, equal to the length tuples of the
+        # representative; below rank 4 to those of every member
         for cls in oracle_class_data(n):
-            g = cls.representative
             assert type(cls.alpha) is AlphaSystem
-            assert cls.alpha == alpha_system(g)
+            assert type(cls.alpha.pos) is Partition and type(cls.alpha.neg) is Partition
             assert type(cls.ambient) is Partition
-            assert cls.ambient == ambient_cycle_type(g, n)
-        if n <= 3:
-            for g in enumerate_group(n):
-                pos, neg = oracle._signed_lengths(g)
-                assert alpha_system(g) == AlphaSystem(Partition(pos), Partition(neg))
-                assert ambient_cycle_type(g, n) == Partition(oracle._ambient_lengths(g, n))
+            for g in cls.members if n <= 3 else (cls.representative,):
+                assert (cls.alpha.pos, cls.alpha.neg) == oracle._signed_lengths(g)
+                assert cls.ambient == oracle._ambient_lengths(g, n)
 
     def test_conjugate_outside_the_enumeration_raises_exactness_error(self, monkeypatch):
         # drop the single flip at point 1: conjugating the flip at point 2
@@ -287,15 +280,15 @@ class TestClassData:
 class TestInducedCharacters:
     def test_subgroup_orders(self):
         for n in (2, 3):
-            for label, order in hob_subgroups(n):
-                assert len(subgroup_elements(n, label)) == order
+            for label in hob_subgroups(n):
+                assert len(subgroup_elements(n, label)) == label.subgroup_order()
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_canonical_subgroups_are_subgroups(self, n):
         # the fixed-coset counts divide by |H|, which is only a coset count
         # when H is a subgroup of the enumerated group
         group = set(enumerate_group(n))
-        for label, _ in hob_subgroups(n):
+        for label in hob_subgroups(n):
             elements = subgroup_elements(n, label)
             members = set(elements)
             assert identity(n) in members
@@ -323,9 +316,9 @@ class TestInducedCharacters:
             identity_pos = next(
                 i for i, c in enumerate(data) if c.size == 1 and c.alpha.pos == Partition((1,) * n)
             )
-            for label, order in hob_subgroups(n):
+            for label in hob_subgroups(n):
                 values = oracle_induced_char(n, label)
-                assert values[identity_pos] == group_order(n) // order
+                assert values[identity_pos] == group_order(n) // label.subgroup_order()
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_matches_formula_table(self, n):
@@ -338,7 +331,7 @@ class TestInducedCharacters:
 
     @pytest.mark.parametrize("n", (1, 2, 3, 4))
     def test_matches_per_label_conjugation(self, n):
-        for label, _ in hob_subgroups(n):
+        for label in hob_subgroups(n):
             assert oracle_induced_char(n, label) == induced_char_by_conjugation(n, label)
 
     @pytest.mark.parametrize("n", (1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)))
