@@ -1,5 +1,5 @@
 """Partitions, sign-flag vectors and the cycle-placement recursion that
-fills both induced tables through one entry point, :func:`induced_column`.
+fills both induced tables through one entry point, :func:`induced_columns`.
 
 Everything here is exact integer combinatorics.  The orderings are part of
 the API: table rows and columns downstream are compared entry-by-entry
@@ -10,6 +10,7 @@ must never change their output order.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from functools import lru_cache
 
 
@@ -76,38 +77,51 @@ def sign_flag_vectors(partition: Partition) -> tuple[tuple[int, ...], ...]:
     return tuple(sum(cand, ()) for cand in itertools.product(*choices))
 
 
+def _encode(parts, flags):
+    """One row of the kernel, encoded once per table: its weight, its
+    multiplier 2**(number of flag-1 parts), and its part states as an
+    ascending tuple of ints; see :func:`induced_columns`."""
+    states = tuple(sorted([p << 2 | f << 1 for p, f in zip(parts, flags)]))
+    return sum(parts), 1 << sum(flags), states
+
+
 def _place(cycles, memo, i, states):
-    """Placements of ``cycles[i:]`` into parts in the sorted ``states``,
-    memoized in ``memo[i]``; see :func:`induced_column`."""
+    """Placements of ``cycles[i:]``, (length << 2, negative) pairs, into
+    the parts in the ascending int ``states``, memoized in ``memo[i]``;
+    see :func:`induced_columns`."""
     if i == len(cycles):
         return 1
     known = memo[i].get(states)
     if known is not None:
         return known
-    length, negative = cycles[i]
+    need, negative = cycles[i]
     total = 0
-    j = 0
-    while j < len(states) and states[j][0] >= length:
+    j = len(states) - 1
+    while j >= 0 and states[j] >= need:
+        state = states[j]
         same = 1
-        while j + same < len(states) and states[j + same] == states[j]:
+        while j - same >= 0 and states[j - same] == state:
             same += 1
-        cap, flag, parity = states[j]
-        cap -= length
-        parity ^= flag & negative
-        if cap or not parity:
-            rest = states[:j] + states[j + 1 :]
-            if cap:
-                rest = tuple(sorted(rest + ((cap, flag, parity),), reverse=True))
-            total += same * _place(cycles, memo, i + 1, rest)
-        j += same
+        left = state - need  # capacity down by the length; flag and parity kept
+        if negative:
+            left ^= left >> 1 & 1  # a negative cycle flips the parity of a flag-1 part
+        if left >= 4:  # room left: the part stays, in its sorted place
+            k = bisect_left(states, left, 0, j)
+            total += same * _place(
+                cycles, memo, i + 1, states[:k] + (left,) + states[k:j] + states[j + 1 :]
+            )
+        elif not left & 1:  # filled, with an even number of negative cycles
+            total += same * _place(cycles, memo, i + 1, states[:j] + states[j + 1 :])
+        j -= same
     memo[i][states] = total
     return total
 
 
-def induced_column(pos, neg, rows) -> tuple[int, ...]:
-    """Values of the induced characters of the subgroups ``rows``, (parts,
-    flags) pairs, at the class whose positive cycles have the lengths
-    ``pos`` and whose negative cycles have the lengths ``neg``.
+def induced_columns(classes, rows) -> tuple[tuple[int, ...], ...]:
+    """The induced table column by column: for each class, a pair
+    ``(pos, neg)`` of the lengths of its positive and of its negative
+    cycles, the values at it of the characters induced from the subgroups
+    ``rows``, (parts, flags) pairs.
 
     For the rank-N group a row names a canonical subgroup; for S_n, with
     ``neg`` empty and every flag 0, a Young subgroup.  A value is 2 per
@@ -117,23 +131,32 @@ def induced_column(pos, neg, rows) -> tuple[int, ...]:
     coefficient of x^parts in the power-sum product p_pos (Macdonald,
     I.6).  A total-weight mismatch gives 0.
 
-    The recursion places one cycle at a time, longest first; a part's
-    state is (remaining capacity, flag, parity of the negative cycles it
-    holds), and a filled part leaves the state.  Each subproblem is
-    memoized on (cycle index, sorted states) for the whole call, so every
-    row of the column shares the memo whatever order the rows come in;
-    parts in equal states are counted once, times their number.  The memo
-    is a local of this call and ``_place`` a module function, so no
-    reference cycle keeps the memo alive after the call returns.
+    The recursion places one cycle at a time, longest first.  A part's
+    state is one int, cap << 2 | flag << 1 | parity: its remaining
+    capacity, its flag, and the parity of the negative cycles it holds.
+    Flag and parity are 0 or 1, so two states compare as ints exactly as
+    their (cap, flag, parity) triples compare as tuples, and a row's
+    states sorted ascending are its triples sorted descending, read
+    backwards.  The recursion scans them from the top end, where the parts
+    with the most room are, and a part with room left goes back in its
+    sorted place by bisection; a filled part leaves the state.  Each row
+    is encoded once per table, not once per column.
+
+    Each subproblem is memoized on (cycle index, sorted states) for one
+    column, so every row of the column shares the memo whatever order the
+    rows come in; parts in equal states are counted once, times their
+    number.  The memo is a local of the column's loop and ``_place`` a
+    module function, so no reference cycle keeps a memo alive after its
+    column is done.
     """
-    cycles = sorted([(p, 0) for p in pos] + [(p, 1) for p in neg], reverse=True)
-    weight = sum(length for length, _ in cycles)
-    memo = [{} for _ in cycles]
+    encoded = [_encode(parts, flags) for parts, flags in rows]
     out = []
-    for parts, flags in rows:
-        if sum(parts) != weight:
-            out.append(0)
-            continue
-        states = tuple(sorted(((p, f, 0) for p, f in zip(parts, flags)), reverse=True))
-        out.append((1 << sum(flags)) * _place(cycles, memo, 0, states))
+    for pos, neg in classes:
+        cycles = sorted([(p << 2, 0) for p in pos] + [(p << 2, 1) for p in neg], reverse=True)
+        weight = sum(pos) + sum(neg)
+        memo = [{} for _ in cycles]
+        out.append(tuple([
+            factor * _place(cycles, memo, 0, states) if w == weight else 0
+            for w, factor, states in encoded
+        ]))
     return tuple(out)

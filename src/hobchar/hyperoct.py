@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from hobchar.combinatorics import Partition, induced_column, partitions, sign_flag_vectors
+from hobchar.combinatorics import Partition, induced_columns, partitions, sign_flag_vectors
 from hobchar.tables import CharacterTable, exact_div, weighted_gram_schmidt
 
 
@@ -59,7 +59,7 @@ class AlphaSystem:
         denom = 1
         for i in p.keys() | q.keys():
             denom *= (2 * i) ** (p[i] + q[i]) * factorial(p[i]) * factorial(q[i])
-        return exact_div(group_order(self.weight), denom, f"class order of {self.label!r}")
+        return exact_div(group_order(self.weight), denom, "class order of {.label!r}", self)
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def hob_induced_table(n: int) -> CharacterTable:
     classes = hob_classes(n)
     labels = hob_subgroups(n)
     subgroups = [(label.partition, label.flags) for label in labels]
-    columns = [induced_column(a.pos, a.neg, subgroups) for a, _ in classes]
+    columns = induced_columns([(a.pos, a.neg) for a, _ in classes], subgroups)
     return CharacterTable(
         row_labels=labels,
         col_labels=tuple(a for a, _ in classes),

@@ -273,12 +273,12 @@ def oracle_induced_char(n: int, label: SignedSubgroupLabel) -> tuple[int, ...]:
     subgroup = set(subgroup_elements(n, label))
     order = len(subgroup)
     group_order = len(enumerate_group(n))
+    what = "fixed-coset count of {.label!r} at {.label!r}"
     values = []
     for cls in oracle_class_data(n):
         centralizer = exact_div(group_order, cls.size, "centralizer order")
         hits = centralizer * len(subgroup & cls.members)
-        what = f"fixed-coset count of {label.label!r} at {cls.alpha.label!r}"
-        values.append(exact_div(hits, order, what))
+        values.append(exact_div(hits, order, what, label, cls.alpha))
     return tuple(values)
 
 
@@ -306,11 +306,12 @@ def oracle_restriction(n: int) -> BranchingMatrix:
     y_of = [y_col[_signed_lengths(g)] for g in elements]
     x_vals = [[row[a] for a in x_of] for row in x.entries]
     y_vals = [[row[b] for b in y_of] for row in y.entries]
+    what = "restriction multiplicity ({}, {})"
     entries = []
     for i, xv in enumerate(x_vals):
         row = []
         for k, yv in enumerate(y_vals):
-            mult = exact_div(sum(map(mul, xv, yv)), order, f"restriction multiplicity ({i}, {k})")
+            mult = exact_div(sum(map(mul, xv, yv)), order, what, i, k)
             if mult < 0:
                 raise ExactnessError(f"restriction multiplicity ({i}, {k}) is negative: {mult}")
             row.append(mult)

@@ -41,9 +41,14 @@ def mismatch(check, n, row_label, col_label, lhs, rhs, note=None) -> CheckReport
 
 
 def compare_matrices(check, n, row_labels, col_labels, lhs, rhs, note=None) -> CheckReport:
-    """Entrywise comparison; the first differing entry is reported."""
+    """Entrywise comparison; the first differing entry, in row-major
+    order, is reported.  Whole rows are compared as tuples first, and
+    entries are walked only in a row that differs."""
     for i, row_label in enumerate(row_labels):
+        a, b = tuple(lhs[i]), tuple(rhs[i])
+        if a == b:
+            continue
         for j, col_label in enumerate(col_labels):
-            if lhs[i][j] != rhs[i][j]:
-                return mismatch(check, n, row_label, col_label, lhs[i][j], rhs[i][j], note)
+            if a[j] != b[j]:
+                return mismatch(check, n, row_label, col_label, a[j], b[j], note)
     return CheckReport(check=check, n=n, passed=True, note=note)

@@ -13,7 +13,7 @@ from collections import Counter
 from functools import lru_cache
 from math import factorial
 
-from hobchar.combinatorics import Partition, induced_column, partitions
+from hobchar.combinatorics import Partition, induced_columns, partitions
 from hobchar.tables import CharacterTable, exact_div, weighted_gram_schmidt
 
 
@@ -24,7 +24,7 @@ def class_order(cycle_type: Partition) -> int:
     for i, m in Counter(cycle_type).items():
         denom *= i**m * factorial(m)
     return exact_div(
-        factorial(cycle_type.weight), denom, f"class order of {cycle_type.label!r}"
+        factorial(cycle_type.weight), denom, "class order of {.label!r}", cycle_type
     )
 
 
@@ -43,7 +43,7 @@ def sym_induced_table(n: int) -> CharacterTable:
     computed a column at a time."""
     classes = sym_classes(n)
     rows = [(lam, (0,) * len(lam)) for lam in partitions(n)]
-    columns = [induced_column(ct, (), rows) for ct, _ in classes]
+    columns = induced_columns([(ct, ()) for ct, _ in classes], rows)
     return CharacterTable(
         row_labels=partitions(n),
         col_labels=tuple(ct for ct, _ in classes),

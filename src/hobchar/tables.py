@@ -6,8 +6,9 @@ exact integer and any rounding would be a silent bug.  A weighted inner
 product is an integer class sum divided once by the group order, and a
 remainder raises :class:`ExactnessError`.
 
-Every p^3 stage but R2's :func:`triangular_solve`, still an interpreted
-substitution loop, is one exact product.  A row of integers is packed into
+Every p^3 stage is one exact product, or, for R2's
+:func:`triangular_solve`, one packed substitution: no p^3 stage is an
+interpreted loop over entries any more.  A row of integers is packed into
 one Python int with a fixed-width signed slot per entry (Kronecker
 substitution), so a row of a product is a sum of scalar x packed-row
 products done in C.  A slot's width comes from a bound on every value it
@@ -33,11 +34,14 @@ class ExactnessError(ArithmeticError):
     """
 
 
-def exact_div(num, den, what="value"):
+def exact_div(num, den, what="value", *args):
     """``num / den`` as an integer; raises :class:`ExactnessError` when
-    ``den`` does not divide ``num``."""
+    ``den`` does not divide ``num``.  The message names ``what``, formatted
+    with ``args`` by ``str.format`` only then, so a division that is exact
+    builds no text."""
     q, r = divmod(num, den)
     if r:
+        what = what.format(*args)
         raise ExactnessError(f"{what} is not an exact integer: {Fraction(num, den)}")
     return q
 
@@ -173,7 +177,7 @@ def weighted_gram_schmidt(table: CharacterTable):
     for i, row in enumerate(table.entries):
         sums = _unpack(sum(map(mul, row, cols)), i, nbytes)
         coeffs = [
-            exact_div(s, order, f"projection coefficient ({i},{k})")
+            exact_div(s, order, "projection coefficient ({},{})", i, k)
             for k, s in enumerate(sums)
         ]
         packed.append(_pack(row, nbytes) - sum(map(mul, coeffs, packed)))  # the residue
@@ -246,9 +250,20 @@ def triangular_solve(rows, pivots, rhs):
 
     ``rows`` are the integer rows of A, ``pivots`` one distinct column per
     row and ``rhs`` the integer rows of B.  Entry k of a row of X comes
-    from column ``pivots[k]`` with one checked exact division.  Both
+    from column c = ``pivots[k]`` with one checked exact division.  Both
     structural conditions are checked, so a zero pivot or a non-zero entry
     below a pivot raises :class:`ExactnessError`, as does a non-integral X.
+
+    Column k of X is packed over all rows of B into one int, so a pivot
+    costs one packed sum over the pivots above it, one decode and one
+    division per row of B.  The columns are solved in pivot order, so of
+    several non-integral entries the one reported is the first row's entry
+    in the first column that has one, not the first row's first entry.
+    Every slot has one width, fixed before anything is packed: for each
+    pivot in turn, every partial result in its column is at most
+    S_k = max_r |B[r][c]| + sum_j |A[j][c]| M_j in absolute value, and every
+    entry of its column of X at most M_k = S_k // |A[k][c]|; the slot holds
+    max_k S_k.
     """
     n = len(rows)
     if any(len(row) != n for row in (*rows, *rhs)) or sorted(pivots) != list(range(n)):
@@ -263,11 +278,21 @@ def triangular_solve(rows, pivots, rhs):
                 f"row {below} is non-zero below the pivot of row {k} in column {c}"
             )
         above.append([(j, rows[j][c]) for j in range(k) if rows[j][c]])
-    out = []
-    for r, b in enumerate(rhs):
-        x = []
-        for k, c in enumerate(pivots):
-            rest = b[c] - sum(x[j] * v for j, v in above[k])
-            x.append(exact_div(rest, rows[k][c], f"solution entry ({r},{k})"))
-        out.append(tuple(x))
-    return tuple(out)
+    b_cols = tuple(zip(*rhs)) or ((),) * n
+    widest, bounds = 0, []  # bounds[k] = M_k
+    for k, c in enumerate(pivots):
+        s = max(map(abs, b_cols[c]), default=0) + sum(abs(v) * bounds[j] for j, v in above[k])
+        widest = max(widest, s)
+        bounds.append(s // abs(rows[k][c]))
+    nbytes = _slot_bytes(widest)
+    m = len(rhs)
+    packed, cols = [], []  # column k of X, packed over the rows of B and decoded
+    for k, c in enumerate(pivots):
+        rest = _pack(b_cols[c], nbytes) - sum([packed[j] * v for j, v in above[k]])
+        col = [
+            exact_div(v, rows[k][c], "solution entry ({},{})", r, k)
+            for r, v in enumerate(_unpack(rest, m, nbytes))
+        ]
+        packed.append(_pack(col, nbytes))
+        cols.append(col)
+    return tuple(zip(*cols)) if cols else ((),) * m

@@ -93,6 +93,24 @@ def reference_gram_schmidt(table):
     return tuple(done), tuple(trans)
 
 
+def reference_triangular_solve(rows, pivots, rhs):
+    """X with X A = B, one right-hand row and one entry at a time: entry k
+    of a row is B[r][pivots[k]] less the earlier entries times the column
+    above the pivot, divided by the pivot.  A non-integral entry raises
+    ArithmeticError at the first row that has one."""
+    above = [[(j, rows[j][c]) for j in range(k) if rows[j][c]] for k, c in enumerate(pivots)]
+    out = []
+    for r, b in enumerate(rhs):
+        x = []
+        for k, c in enumerate(pivots):
+            q, rem = divmod(b[c] - sum(x[j] * v for j, v in above[k]), rows[k][c])
+            if rem:
+                raise ArithmeticError(f"solution entry ({r},{k}) is not integral")
+            x.append(q)
+        out.append(tuple(x))
+    return tuple(out)
+
+
 def fraction_solve(a, b):
     """The unique X with A X = B over exact rationals, by Gauss-Jordan
     elimination; raises ``ZeroDivisionError`` when A is singular."""
@@ -465,20 +483,20 @@ def even_partition_count(m):
 def sym_induced_char(lam, cycle_type):
     """Value at ``cycle_type`` of the character induced from the identity of
     the parabolic (Young-type) subgroup for ``lam``."""
-    from hobchar.combinatorics import induced_column
+    from hobchar.combinatorics import induced_columns
 
     if lam.weight != cycle_type.weight:
         raise ValueError(
             f"weight mismatch: partition {lam.label!r} has weight {lam.weight}, "
             f"class {cycle_type.label!r} has weight {cycle_type.weight}"
         )
-    return induced_column(cycle_type, (), [(lam, (0,) * len(lam))])[0]
+    return induced_columns([(cycle_type, ())], [(lam, (0,) * len(lam))])[0][0]
 
 
 def hob_induced_char(subgroup, alpha):
     """Value at class ``alpha`` of the character induced from the identity
     of the canonical subgroup ``subgroup``, by the package's signed kernel."""
-    from hobchar.combinatorics import induced_column
+    from hobchar.combinatorics import induced_columns
 
     if subgroup.weight != alpha.weight:
         raise ValueError(
@@ -486,7 +504,7 @@ def hob_induced_char(subgroup, alpha):
             f"{subgroup.weight}, class {alpha.label!r} has weight {alpha.weight}"
         )
     rows = [(subgroup.partition, subgroup.flags)]
-    return induced_column(alpha.pos, alpha.neg, rows)[0]
+    return induced_columns([(alpha.pos, alpha.neg)], rows)[0][0]
 
 
 def parse_csv(text):
@@ -502,3 +520,50 @@ def parse_csv(text):
     row_labels = tuple(r[0] for r in body)
     entries = tuple(tuple(int(v) for v in r[1:]) for r in body)
     return row_labels, col_labels, orders, entries
+
+
+def _reference_place(cycles, memo, i, states):
+    """Placements of ``cycles[i:]`` into parts in the sorted ``states``,
+    (capacity, flag, parity) triples, memoized in ``memo[i]``."""
+    if i == len(cycles):
+        return 1
+    known = memo[i].get(states)
+    if known is not None:
+        return known
+    length, negative = cycles[i]
+    total = 0
+    j = 0
+    while j < len(states) and states[j][0] >= length:
+        same = 1
+        while j + same < len(states) and states[j + same] == states[j]:
+            same += 1
+        cap, flag, parity = states[j]
+        cap -= length
+        parity ^= flag & negative
+        if cap or not parity:
+            rest = states[:j] + states[j + 1 :]
+            if cap:
+                rest = tuple(sorted(rest + ((cap, flag, parity),), reverse=True))
+            total += same * _reference_place(cycles, memo, i + 1, rest)
+        j += same
+    memo[i][states] = total
+    return total
+
+
+def reference_induced_column(pos, neg, rows):
+    """One column of an induced table by the placement recursion on
+    (capacity, flag, parity) triples, each row's triples sorted again for
+    the column: the values at the class with positive cycles ``pos`` and
+    negative cycles ``neg`` of the characters induced from ``rows``,
+    (parts, flags) pairs."""
+    cycles = sorted([(p, 0) for p in pos] + [(p, 1) for p in neg], reverse=True)
+    weight = sum(length for length, _ in cycles)
+    memo = [{} for _ in cycles]
+    out = []
+    for parts, flags in rows:
+        if sum(parts) != weight:
+            out.append(0)
+            continue
+        states = tuple(sorted(((p, f, 0) for p, f in zip(parts, flags)), reverse=True))
+        out.append((1 << sum(flags)) * _reference_place(cycles, memo, 0, states))
+    return tuple(out)

@@ -12,16 +12,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hobchar.combinatorics import induced_column, partitions, sign_flag_vectors
+from hobchar import combinatorics
+from hobchar.combinatorics import induced_columns, partitions, sign_flag_vectors
 from hobchar.hyperoct import hob_induced_table
 from hobchar.symmetric import sym_induced_table
 
-from _oracles import induced_value_by_expansion, signed_induced_value_by_expansion
+from _oracles import (
+    induced_value_by_expansion,
+    reference_induced_column,
+    signed_induced_value_by_expansion,
+)
 
 
 def cell(pos, neg, parts, flags):
-    """One cell of the kernel: a column of one row."""
-    return induced_column(pos, neg, [(parts, flags)])[0]
+    """One cell of the kernel: a table of one class and one row."""
+    return induced_columns([(pos, neg)], [(parts, flags)])[0][0]
+
+
+def column(pos, neg, rows):
+    """One column of the kernel: a table of one class."""
+    return induced_columns([(pos, neg)], rows)[0]
 
 
 def sym_cell(cycle_type, parts):
@@ -92,14 +102,14 @@ def test_column_memo_ignores_row_order(seed):
     for mu in partitions(7):
         shuffled = rng.sample(rows, len(rows))
         want = [sym_cell(mu, parts) for parts in shuffled]
-        assert list(induced_column(mu, (), sym_rows(shuffled))) == want
+        assert list(column(mu, (), sym_rows(shuffled))) == want
     subgroups = [(lam, flags) for m in (4, 5) for lam in partitions(m)
                  for flags in itertools.product((0, 1), repeat=len(lam))]
     for mu in partitions(5):
         pos, neg = signed_class(mu, [rng.randint(0, 1) for _ in mu])
         shuffled = rng.sample(subgroups, len(subgroups))
         want = [cell(pos, neg, parts, flags) for parts, flags in shuffled]
-        assert list(induced_column(pos, neg, shuffled)) == want
+        assert list(column(pos, neg, shuffled)) == want
 
 
 def test_column_memo_is_freed_with_its_counter():
@@ -108,11 +118,67 @@ def test_column_memo_is_freed_with_its_counter():
     gc.collect()
     gc.disable()
     try:
-        induced_column((1,) * 8, (), sym_rows(partitions(8)))
-        induced_column((1,) * 3, (1,), [((2, 2), (0, 1)), ((3, 1), (1, 0))])
+        induced_columns([((1,) * 8, ()), ((2, 2, 1, 1, 1, 1), ())], sym_rows(partitions(8)))
+        induced_columns([((1,) * 3, (1,)), ((2,), (2,))], [((2, 2), (0, 1)), ((3, 1), (1, 0))])
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@given(st.lists(st.tuples(st.integers(1, 40), st.integers(0, 1), st.integers(0, 1))))
+def test_int_states_sort_as_their_triples(triples):
+    # ascending ints, read from the top, are the triples sorted descending,
+    # so the recursion visits the same parts and keys the same memo entries
+    ints = sorted(cap << 2 | flag << 1 | parity for cap, flag, parity in triples)
+    decoded = [(s >> 2, s >> 1 & 1, s & 1) for s in reversed(ints)]
+    assert decoded == sorted(triples, reverse=True)
+
+
+def reference_table(rows, classes):
+    return tuple(zip(*(reference_induced_column(pos, neg, rows) for pos, neg in classes)))
+
+
+def assert_sym_matches_reference(n):
+    table = sym_induced_table(n)
+    rows = sym_rows(table.row_labels)
+    assert table.entries == reference_table(rows, [(mu, ()) for mu in table.col_labels])
+
+
+def assert_hob_matches_reference(n):
+    table = hob_induced_table(n)
+    rows = [(label.partition, label.flags) for label in table.row_labels]
+    classes = [(alpha.pos, alpha.neg) for alpha in table.col_labels]
+    assert table.entries == reference_table(rows, classes)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_sym_table_matches_reference_recursion(n):
+    assert_sym_matches_reference(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_hob_table_matches_reference_recursion(n):
+    assert_hob_matches_reference(n)
+
+
+@pytest.mark.slow
+def test_degree_16_and_rank_8_match_reference_recursion():
+    assert_sym_matches_reference(16)
+    assert_hob_matches_reference(8)
+
+
+@pytest.mark.parametrize(
+    "build, n", [(sym_induced_table, 10), (hob_induced_table, 5)], ids=["sym", "hob"]
+)
+def test_encodes_each_row_once_per_table(build, n, monkeypatch):
+    calls = []
+    encode = combinatorics._encode
+    monkeypatch.setattr(
+        combinatorics, "_encode", lambda parts, flags: calls.append(parts) or encode(parts, flags)
+    )
+    table = build.__wrapped__(n)  # past the cache, so the kernel runs
+    assert table.ncols > 1
+    assert len(calls) == table.nrows
 
 
 @given(st.integers(min_value=1, max_value=10), st.data())

@@ -84,6 +84,20 @@ def test_no_cache_decorator_on_nested_functions():
     assert found == []
 
 
+def test_exact_div_messages_are_not_built_eagerly():
+    # exact_div formats its message only when a division fails; an f-string
+    # argument is built on every call, exact or not, for nothing
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "exact_div"
+        and any(isinstance(arg, ast.JoinedStr) for arg in [*node.args, *(kw.value for kw in node.keywords)])
+    ]
+    assert found == []
+
+
 # the label types, the matrix container and the exact-division helpers
 ORACLE_PACKAGE_IMPORTS = {
     "Partition",

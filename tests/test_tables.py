@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from hobchar import tables
 from hobchar.combinatorics import Partition
+from hobchar.embedding import modified_tables
 from hobchar.hyperoct import hob_induced_table, hob_irreducible_table
-from hobchar.reduction import restriction_matrix
+from hobchar.reduction import reduce_induced, restriction_matrix
 from hobchar.symmetric import sym_induced_table, sym_irreducible_table
 from hobchar.tables import (
     CharacterTable,
@@ -21,7 +22,13 @@ from hobchar.tables import (
     weighted_gram_schmidt,
 )
 
-from _oracles import fraction_solve, naive_mat_mul, reference_gram_schmidt, transpose
+from _oracles import (
+    fraction_solve,
+    naive_mat_mul,
+    reference_gram_schmidt,
+    reference_triangular_solve,
+    transpose,
+)
 
 
 def table_of(entries, orders, group_order):
@@ -214,6 +221,10 @@ class TestLinearAlgebra:
         assert all(type(v) is int for row in got for v in row)
         assert [list(row) for row in got] == solve_by_fractions(self.A, b)
 
+    def test_triangular_solve_empty_shapes(self):
+        assert triangular_solve((), (), ((), ())) == ((), ())
+        assert triangular_solve(self.A, self.PIVOTS, ()) == ()
+
     def test_triangular_solve_zero_pivot(self):
         with pytest.raises(ExactnessError, match="zero pivot in row 1, column 0"):
             triangular_solve(((1, 2), (0, 0)), self.PIVOTS, ((1, 2),))
@@ -221,6 +232,17 @@ class TestLinearAlgebra:
     def test_triangular_solve_non_integral(self):
         with pytest.raises(ExactnessError, match="not an exact integer: 1/2"):
             triangular_solve(((2,),), (0,), ((1,),))
+
+    def test_triangular_solve_reports_first_column_with_a_fraction(self):
+        # X = ((1, 1/3), (1/2, 1)): the columns are solved in pivot order,
+        # so entry (1,0) is reported, where a row-by-row loop stops at (0,1)
+        a, b = ((2, 0), (0, 3)), ((2, 1), (1, 3))
+        with pytest.raises(ArithmeticError, match=r"solution entry \(0,1\)"):
+            reference_triangular_solve(a, (0, 1), b)
+        with pytest.raises(
+            ExactnessError, match=r"solution entry \(1,0\) is not an exact integer: 1/2"
+        ):
+            triangular_solve(a, (0, 1), b)
 
     def test_triangular_solve_nonzero_below_pivot(self):
         # invertible, so a general solver would succeed; the substitution
@@ -383,6 +405,40 @@ class TestPackedProduct:
             except ExactnessError:
                 return
         assert got == naive_mat_mul(a, b, 1 if k else 0)
+
+
+def induced_system(n):
+    """R2's system at rank n: the induced table, its pivots and the
+    re-columned ambient induced table, as ``reduce_induced`` builds them."""
+    table = hob_induced_table(n)
+    col_of = {alpha: c for c, alpha in enumerate(table.col_labels)}
+    pivots = [col_of[label.alpha_system()] for label in table.row_labels]
+    return table.entries, pivots, modified_tables(n)[0].entries
+
+
+class TestPackedSolve:
+    @pytest.mark.parametrize("nbytes", [1, 2, 3, 8])
+    def test_one_byte_narrower_than_the_bound_aliases(self, nbytes, monkeypatch):
+        # x[0][1] = 2 * half - 1 needs nbytes + 1 bytes, the bound S_1 of
+        # its column; in nbytes bytes the partial result carries into row
+        # 1's slot and decodes as (-1, 1), a wrong X that nothing catches
+        half = 1 << (8 * nbytes - 1)
+        a, pivots, b = ((1, 1), (0, 1)), (0, 1), ((-half, half - 1), (0, 0))
+        assert triangular_solve(a, pivots, b) == ((-half, 2 * half - 1), (0, 0))
+        narrower_slots(monkeypatch)
+        assert triangular_solve(a, pivots, b) == ((-half, -1), (0, 1))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_reference_substitution(self, n):
+        rows, pivots, rhs = induced_system(n)
+        want = reference_triangular_solve(rows, pivots, rhs)
+        assert triangular_solve(rows, pivots, rhs) == want == reduce_induced(n).entries
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", range(7, 10))
+    def test_matches_reference_substitution_to_rank_9(self, n):
+        rows, pivots, rhs = induced_system(n)
+        assert triangular_solve(rows, pivots, rhs) == reference_triangular_solve(rows, pivots, rhs)
 
 
 def lower_unitriangular(data, n):
