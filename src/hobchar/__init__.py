@@ -38,7 +38,6 @@ from hobchar.hyperoct import (
     hob_subgroups,
 )
 from hobchar.reduction import (
-    BranchingMatrix,
     reduce_induced,
     reduce_irreducible,
     verify_consistency,
@@ -50,6 +49,7 @@ from hobchar.symmetric import (
     sym_irreducible_table,
 )
 from hobchar.tables import (
+    BranchingMatrix,
     CharacterTable,
     ExactnessError,
     TransitionMatrix,

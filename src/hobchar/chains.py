@@ -16,9 +16,9 @@ from functools import lru_cache
 from hobchar.combinatorics import Partition, partitions
 from hobchar.embedding import recolumn
 from hobchar.hyperoct import AlphaSystem, hob_irreducible_table
-from hobchar.reduction import BranchingMatrix, reduce_irreducible, restriction_matrix
+from hobchar.reduction import reduce_irreducible, restriction_matrix
 from hobchar.reports import CheckReport, compare_matrices
-from hobchar.tables import mat_mul
+from hobchar.tables import BranchingMatrix, mat_mul
 
 
 def weyl_matrix(n: int) -> BranchingMatrix:
@@ -36,8 +36,8 @@ def weyl_matrix(n: int) -> BranchingMatrix:
             # only a removable corner: the last part of its run of equal parts
             if i + 1 == len(lam) or lam[i + 1] < p:
                 row[col_index[lam[:i] + (p - 1,) * (p > 1) + lam[i + 1 :]]] = 1
-        entries.append(tuple(row))
-    return BranchingMatrix(rows, cols, tuple(entries))
+        entries.append(row)
+    return BranchingMatrix(rows, cols, entries)
 
 
 @lru_cache(maxsize=None)
@@ -81,9 +81,7 @@ def chain_compose(matrices) -> BranchingMatrix:
 
 def _identity(labels) -> BranchingMatrix:
     k = len(labels)
-    return BranchingMatrix(
-        labels, labels, tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
-    )
+    return BranchingMatrix(labels, labels, [[int(i == j) for j in range(k)] for i in range(k)])
 
 
 def sym_chain(n: int) -> BranchingMatrix:
@@ -117,7 +115,7 @@ def method_b_verify(n: int) -> CheckReport:
     r1 = reduce_irreducible(n)
     lhs = chain_compose([r1, hob_chain(n)])
     rhs = sym_chain(2 * n)
-    note = "branching {}x{} composed down to {}x{}".format(*r1.shape, *lhs.shape)
+    note = f"branching {r1.nrows}x{r1.ncols} composed down to {lhs.nrows}x{lhs.ncols}"
     return compare_matrices(
         "method-b", n, lhs.row_labels, lhs.col_labels, lhs.entries, rhs.entries, note
     )

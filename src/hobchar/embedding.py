@@ -86,7 +86,7 @@ def recolumn(table: CharacterTable, images, n: int) -> CharacterTable:
         row_labels=table.row_labels,
         col_labels=tuple(alpha for alpha, _ in classes),
         col_class_orders=tuple(order for _, order in classes),
-        entries=tuple(tuple(row[c] for c in picks) for row in table.entries),
+        entries=[[row[c] for c in picks] for row in table.entries],
         group_order=group_order(n),
     )
 

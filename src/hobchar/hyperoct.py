@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from hobchar.combinatorics import Partition, induced_columns, partitions, sign_flag_vectors
 from hobchar.tables import CharacterTable, exact_div, weighted_gram_schmidt
@@ -25,10 +26,10 @@ def group_order(n: int) -> int:
     return 2**n * factorial(n)
 
 
-@dataclass(frozen=True)
-class AlphaSystem:
+class AlphaSystem(NamedTuple):
     """A class by its cycle lengths: ``pos`` lists the positive and ``neg``
-    the negative cycles (a cycle is negative when its sign product is -1)."""
+    the negative cycles (a cycle is negative when its sign product is -1).
+    It equals, hashes and orders as the plain pair ``(pos, neg)``."""
 
     pos: Partition
     neg: Partition
@@ -140,13 +141,13 @@ def hob_induced_table(n: int) -> CharacterTable:
     classes, computed a column at a time."""
     classes = hob_classes(n)
     labels = hob_subgroups(n)
-    subgroups = [(label.partition, label.flags) for label in labels]
-    columns = induced_columns([(a.pos, a.neg) for a, _ in classes], subgroups)
+    alphas = tuple(a for a, _ in classes)
+    columns = induced_columns(alphas, [(label.partition, label.flags) for label in labels])
     return CharacterTable(
         row_labels=labels,
-        col_labels=tuple(a for a, _ in classes),
+        col_labels=alphas,
         col_class_orders=tuple(order for _, order in classes),
-        entries=tuple(zip(*columns)),
+        entries=zip(*columns),
         group_order=group_order(n),
     )
 

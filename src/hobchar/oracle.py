@@ -35,8 +35,7 @@ from operator import mul
 
 from hobchar.combinatorics import Partition
 from hobchar.hyperoct import AlphaSystem, SignedSubgroupLabel
-from hobchar.reduction import BranchingMatrix
-from hobchar.tables import ExactnessError, exact_div
+from hobchar.tables import BranchingMatrix, ExactnessError, exact_div
 
 MAX_RANK = 6
 COSET_MAX_RANK = 4  # fixed-coset counts and restriction by summation
@@ -298,7 +297,7 @@ def oracle_restriction(n: int) -> BranchingMatrix:
     # columns keyed by their labels and looked up by the plain cycle-length
     # tuples, which equal them: no label built per element
     x_col = {ct: c for c, ct in enumerate(x.col_labels)}
-    y_col = {(a.pos, a.neg): c for c, a in enumerate(y.col_labels)}
+    y_col = {a: c for c, a in enumerate(y.col_labels)}
     elements = enumerate_group(n)
     order = len(elements)
     # each irreducible row's value at every element, as one flat list
@@ -315,8 +314,8 @@ def oracle_restriction(n: int) -> BranchingMatrix:
             if mult < 0:
                 raise ExactnessError(f"restriction multiplicity ({i}, {k}) is negative: {mult}")
             row.append(mult)
-        entries.append(tuple(row))
-    return BranchingMatrix(x.row_labels, y.row_labels, tuple(entries))
+        entries.append(row)
+    return BranchingMatrix(x.row_labels, y.row_labels, entries)
 
 
 def oracle_agreement(n: int) -> "CheckReport":

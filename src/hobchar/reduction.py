@@ -1,50 +1,25 @@
 """Restriction multiplicities from S_2N to the embedded rank-N
 signed-permutation group: the irreducible branching matrix, the induced
 branching matrix, and the consistency identity tying them together.
+Both are plain :class:`hobchar.tables.BranchingMatrix` values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from hobchar.embedding import modified_tables
 from hobchar.hyperoct import hob_induced_table, hob_irreducible_table
 from hobchar.reports import CheckReport, compare_matrices
 from hobchar.symmetric import sym_irreducible_table
-from hobchar.tables import CharacterTable, ExactnessError, exact_div, mat_mul, triangular_solve
-
-
-@dataclass(frozen=True)
-class BranchingMatrix:
-    """Exact integer content matrix with labeled rows and columns.
-
-    Restriction multiplicities (the irreducible route and the one-step
-    chains) are genuinely non-negative and are checked as such where they
-    are built.  The induced-content matrix is the unique solution of a
-    linear system and can carry negative coefficients from rank 3 on, so
-    the container itself only insists on integrality.
-    """
-
-    row_labels: tuple
-    col_labels: tuple
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "row_labels", tuple(self.row_labels))
-        object.__setattr__(self, "col_labels", tuple(self.col_labels))
-        object.__setattr__(self, "entries", tuple([tuple(r) for r in self.entries]))
-        if len(self.entries) != len(self.row_labels):
-            raise ValueError("row count does not match row labels")
-        for row in self.entries:
-            if len(row) != len(self.col_labels):
-                raise ValueError("column count does not match column labels")
-            if any(not isinstance(v, int) for v in row):
-                raise ValueError("branching entries must be exact integers")
-
-    @property
-    def shape(self):
-        return (len(self.row_labels), len(self.col_labels))
+from hobchar.tables import (
+    BranchingMatrix,
+    CharacterTable,
+    ExactnessError,
+    exact_div,
+    mat_mul,
+    triangular_solve,
+)
 
 
 def restriction_matrix(restricted: CharacterTable, y: CharacterTable) -> BranchingMatrix:
@@ -106,5 +81,5 @@ def verify_consistency(n: int) -> CheckReport:
     _, delta = sym_irreducible_table(2 * n)
     lhs = mat_mul(r2.entries, t_b.entries)
     rhs = mat_mul(delta.entries, r1.entries)
-    note = "both routes give a {}x{} matrix".format(*r1.shape)
+    note = f"both routes give a {r1.nrows}x{r1.ncols} matrix"
     return compare_matrices("eq8", n, r2.row_labels, r2.col_labels, lhs, rhs, note)

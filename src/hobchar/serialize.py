@@ -96,15 +96,14 @@ class TableDocument:
 
 
 def document_from(table, group, n, kind) -> TableDocument:
-    """The document of a character table, of a branching matrix (no class
-    orders) or of a transition matrix (one label set on both axes)."""
-    labels = getattr(table, "labels", None)
+    """The document of a labelled matrix; only a character table has class
+    orders."""
     return TableDocument(
         group=group,
         n=n,
         kind=kind,
-        row_labels=table.row_labels if labels is None else labels,
-        col_labels=table.col_labels if labels is None else labels,
+        row_labels=table.row_labels,
+        col_labels=table.col_labels,
         col_class_orders=getattr(table, "col_class_orders", None),
         entries=table.entries,
     )

@@ -48,7 +48,7 @@ def sym_induced_table(n: int) -> CharacterTable:
         row_labels=partitions(n),
         col_labels=tuple(ct for ct, _ in classes),
         col_class_orders=tuple(order for _, order in classes),
-        entries=tuple(zip(*columns)),
+        entries=zip(*columns),
         group_order=factorial(n),
     )
 

@@ -1,4 +1,10 @@
-"""Exact character-table containers and the weighted orthonormalization.
+"""The labelled integer matrix, and the exact linear algebra on it.
+
+Every table and matrix of the package is a :class:`BranchingMatrix`:
+labelled rows and columns over integer entries, whose shape is checked
+in one place.  It has two refinements.  A :class:`CharacterTable` adds
+the class orders and the group order, and a :class:`TransitionMatrix`
+has one label set on both axes and is lower unitriangular.
 
 All arithmetic is integer arithmetic with checked exact division; floating
 point is banned from this package because every quantity it produces is an
@@ -47,31 +53,33 @@ def exact_div(num, den, what="value", *args):
 
 
 @dataclass(frozen=True)
-class CharacterTable:
-    """Integer table with labeled rows (characters) and columns (classes)."""
+class BranchingMatrix:
+    """Exact integer matrix with labelled rows and columns.
+
+    Restriction multiplicities (the irreducible route and the one-step
+    chains) are genuinely non-negative and are checked as such where they
+    are built.  The induced-content matrix is the unique solution of a
+    linear system and can carry negative coefficients from rank 3 on, so
+    the container itself insists only on its shape.  Every producer builds
+    its entries from Python ints; integrality is checked where a matrix is
+    rendered or read (``serialize.TableDocument``), and a source test
+    keeps ``Fraction`` and ``float`` out of every value that is not an
+    error report.
+    """
 
     row_labels: tuple
     col_labels: tuple
-    col_class_orders: tuple[int, ...]
     entries: tuple[tuple[int, ...], ...]
-    group_order: int
 
     def __post_init__(self):
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
-        object.__setattr__(self, "col_class_orders", tuple(self.col_class_orders))
         object.__setattr__(self, "entries", tuple([tuple(r) for r in self.entries]))
         if len(self.entries) != len(self.row_labels):
             raise ValueError("row count does not match row labels")
-        for row in self.entries:
-            if len(row) != len(self.col_labels):
-                raise ValueError("column count does not match column labels")
-        if len(self.col_class_orders) != len(self.col_labels):
-            raise ValueError("class order count does not match column labels")
-        if any(o <= 0 for o in self.col_class_orders):
-            raise ValueError("class orders must be positive")
-        if sum(self.col_class_orders) != self.group_order:
-            raise ValueError("class orders do not sum to the group order")
+        ncols = len(self.col_labels)
+        if any(len(row) != ncols for row in self.entries):
+            raise ValueError("column count does not match column labels")
 
     @property
     def nrows(self):
@@ -81,6 +89,24 @@ class CharacterTable:
     def ncols(self):
         return len(self.col_labels)
 
+
+@dataclass(frozen=True)
+class CharacterTable(BranchingMatrix):
+    """Rows are characters and columns classes, with the class orders."""
+
+    col_class_orders: tuple[int, ...]
+    group_order: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "col_class_orders", tuple(self.col_class_orders))
+        if len(self.col_class_orders) != len(self.col_labels):
+            raise ValueError("class order count does not match column labels")
+        if any(o <= 0 for o in self.col_class_orders):
+            raise ValueError("class orders must be positive")
+        if sum(self.col_class_orders) != self.group_order:
+            raise ValueError("class orders do not sum to the group order")
+
     def weigh(self, v):
         """``v`` times the class orders, entry by entry.  Every class sum
         takes its second row in this form, so a loop that pairs one row
@@ -88,28 +114,24 @@ class CharacterTable:
         return tuple(map(mul, self.col_class_orders, v))
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Lower unitriangular integer matrix; determinant 1 by shape."""
-
-    labels: tuple
-    entries: tuple[tuple[int, ...], ...]
+class TransitionMatrix(BranchingMatrix):
+    """Lower unitriangular integer matrix over one label set; determinant
+    1 by shape."""
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "entries", tuple([tuple(r) for r in self.entries]))
-        n = len(self.labels)
-        if len(self.entries) != n or any(len(r) != n for r in self.entries):
-            raise ValueError("transition matrix must be square over its labels")
+        super().__post_init__()
+        if self.row_labels != self.col_labels:
+            raise ValueError("transition matrix needs one label set on both axes")
         for i, row in enumerate(self.entries):
             if row[i] != 1:
                 raise ValueError(f"diagonal entry {i} is {row[i]}, expected 1")
-            if any(row[j] != 0 for j in range(i + 1, n)):
+            if any(row[i + 1 :]):
                 raise ValueError(f"row {i} has entries above the diagonal")
 
     @property
-    def size(self):
-        return len(self.labels)
+    def labels(self):
+        """The one label set of both axes."""
+        return self.row_labels
 
 
 def _slot_bytes(bound):
@@ -192,7 +214,8 @@ def weighted_gram_schmidt(table: CharacterTable):
         shift = 8 * nbytes * i
         cols = [c + (x << shift) for c, x in zip(cols, w)]
         trans.append(tuple(coeffs) + (1,) + (0,) * (n - i - 1))
-    return replace(table, entries=tuple(done)), TransitionMatrix(table.row_labels, tuple(trans))
+    transition = TransitionMatrix(table.row_labels, table.row_labels, trans)
+    return replace(table, entries=done), transition
 
 
 def first_orthogonality_failure(table: CharacterTable):

@@ -154,8 +154,8 @@ def test_criterion_7_structural_suite():
             y, t_b = hc.hob_irreducible_table(n)
             assert fraction_det(delta.entries) == 1
             assert fraction_det(t_b.entries) == 1
-            assert all(delta.entries[i][i] == 1 for i in range(delta.size))
-            assert all(t_b.entries[i][i] == 1 for i in range(t_b.size))
+            assert all(delta.entries[i][i] == 1 for i in range(delta.nrows))
+            assert all(t_b.entries[i][i] == 1 for i in range(t_b.nrows))
             assert first_orthogonality_failure(x) is None
             assert first_column_orthogonality_failure(x) is None
             assert first_orthogonality_failure(y) is None

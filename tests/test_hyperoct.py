@@ -61,6 +61,15 @@ class TestClasses:
     def test_class_count_equals_label_count(self, n):
         assert len(hob_classes(n)) == len(hob_subgroups(n))
 
+    def test_alpha_is_its_pair(self):
+        # a class label equals, hashes and orders as the plain pair, so the
+        # kernel and the oracle take it where they take a (pos, neg) pair
+        pos, neg = Partition((2,)), Partition((1,))
+        alpha = AlphaSystem(pos, neg)
+        assert alpha == (pos, neg) and hash(alpha) == hash(((2,), (1,)))
+        assert alpha < AlphaSystem(Partition((2, 1)), Partition(()))
+        assert str(alpha) == alpha.label == "1-:1;2+:1"
+
     def test_alpha_label_grammar(self):
         assert AlphaSystem(Partition((1,)), Partition((1,))).label == "1+:1;1-:1"
         assert AlphaSystem(Partition((1, 1)), Partition(())).label == "1+:2"

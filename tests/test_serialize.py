@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +20,7 @@ from hobchar.serialize import (
     to_pretty,
 )
 from hobchar.symmetric import sym_induced_table, sym_irreducible_table
+from hobchar.tables import BranchingMatrix
 
 from _oracles import parse_csv
 
@@ -75,6 +77,13 @@ class TestDocuments:
     def test_non_int_numbers_are_rejected(self, n, orders, entries):
         with pytest.raises(ValueError):
             TableDocument("sym", n, "induced", ("a",), ("b",), orders, entries)
+
+    def test_non_integer_matrix_entry_is_rejected(self):
+        # the containers check only their shape; integrality is checked
+        # where a matrix becomes a document, to be rendered or stored
+        matrix = BranchingMatrix(("a",), ("b",), ((Fraction(1, 2),),))
+        with pytest.raises(ValueError, match="entries must be integers"):
+            document_from(matrix, "hyperoct", 1, "branching")
 
     @pytest.mark.parametrize("doc", sample_documents(), ids=lambda d: f"{d.group}-{d.n}-{d.kind}")
     def test_json_round_trip(self, doc):

@@ -98,6 +98,38 @@ def test_exact_div_messages_are_not_built_eagerly():
     assert found == []
 
 
+def _called_name(node):
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def test_no_fraction_or_float_outside_errors():
+    # every table and matrix holds Python ints, and the containers check
+    # only their shape: a Fraction may be built only to report a failure
+    # (inside a raise or a return), and no float may be built at all
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reported = {
+            id(inner)
+            for stmt in ast.walk(tree)
+            if isinstance(stmt, (ast.Raise, ast.Return))
+            for inner in ast.walk(stmt)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _called_name(node) == "float":
+                found.append(f"{path.name}:{node.lineno} float()")
+            elif isinstance(node, ast.Constant) and type(node.value) is float:
+                found.append(f"{path.name}:{node.lineno} {node.value!r}")
+            elif (
+                isinstance(node, ast.Call)
+                and _called_name(node) == "Fraction"
+                and id(node) not in reported
+            ):
+                found.append(f"{path.name}:{node.lineno} Fraction()")
+    assert found == []
+
+
 # the label types, the matrix container and the exact-division helpers
 ORACLE_PACKAGE_IMPORTS = {
     "Partition",

@@ -12,6 +12,7 @@ from hobchar.hyperoct import hob_induced_table, hob_irreducible_table
 from hobchar.reduction import reduce_induced, restriction_matrix
 from hobchar.symmetric import sym_induced_table, sym_irreducible_table
 from hobchar.tables import (
+    BranchingMatrix,
     CharacterTable,
     ExactnessError,
     TransitionMatrix,
@@ -74,12 +75,67 @@ class TestContainers:
             restriction_matrix(table_of(((1, 0),), (1, 1), 2), t)
 
     def test_transition_shape(self):
+        labels = (0, 1)
         with pytest.raises(ValueError):
-            TransitionMatrix((0, 1), ((1, 1), (0, 1)))
+            TransitionMatrix(labels, labels, ((1, 1), (0, 1)))
         with pytest.raises(ValueError):
-            TransitionMatrix((0, 1), ((2, 0), (0, 1)))
-        t = TransitionMatrix((0, 1), ((1, 0), (3, 1)))
-        assert t.size == 2
+            TransitionMatrix(labels, labels, ((2, 0), (0, 1)))
+        t = TransitionMatrix(labels, labels, ((1, 0), (3, 1)))
+        assert t.nrows == 2
+        assert t.labels == labels
+
+
+def character_table(row_labels, col_labels, entries):
+    """A character table whose classes all have order 1."""
+    return CharacterTable(
+        row_labels=row_labels,
+        col_labels=col_labels,
+        entries=entries,
+        col_class_orders=(1,) * len(col_labels),
+        group_order=len(col_labels),
+    )
+
+
+# the three kinds of labelled matrix, each built from (rows, cols, entries)
+KINDS = [BranchingMatrix, character_table, TransitionMatrix]
+
+
+class TestOneContainer:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_square_identity_is_valid(self, kind):
+        m = kind(("a", "b"), ("a", "b"), [[1, 0], [0, 1]])
+        assert (m.nrows, m.ncols) == (2, 2)
+        assert m.entries == ((1, 0), (0, 1))
+        assert isinstance(m, BranchingMatrix)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_row_count_must_match_labels(self, kind):
+        with pytest.raises(ValueError, match="row count"):
+            kind(("a", "b"), ("a", "b"), ((1, 0),))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_column_count_must_match_labels(self, kind):
+        with pytest.raises(ValueError, match="column count"):
+            kind(("a", "b"), ("a", "b"), ((1, 0), (0,)))
+
+    @pytest.mark.parametrize(
+        "col_labels, entries, message",
+        [
+            (("b", "a"), ((1, 0), (0, 1)), "one label set"),
+            (("a", "b"), ((1, 0), (0, -1)), "diagonal entry 1 is -1"),
+            (("a", "b"), ((1, 2), (0, 1)), "row 0 has entries above the diagonal"),
+        ],
+    )
+    def test_transition_invariants(self, col_labels, entries, message):
+        with pytest.raises(ValueError, match=message):
+            TransitionMatrix(("a", "b"), col_labels, entries)
+
+    def test_pipeline_matrices_are_branching_matrices(self):
+        y, t = hob_irreducible_table(2)
+        assert isinstance(y, CharacterTable) and isinstance(y, BranchingMatrix)
+        assert type(t) is TransitionMatrix and isinstance(t, BranchingMatrix)
+        assert t.labels == t.row_labels == t.col_labels == y.row_labels
+        assert type(reduce_induced(2)) is BranchingMatrix
 
 
 class TestGramSchmidt:
