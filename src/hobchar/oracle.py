@@ -10,19 +10,21 @@ formula-based modules beyond the label types, and it must stay dumb: its
 value is being obviously correct, not fast.  It is still brute force over
 every element; it only avoids repeating work.  Each class is closed by
 conjugating its members by the n generators rather than by every group
-element: every conjugate is one pair from one pass over the points, and
-it is looked up among the enumerated elements in no class yet, so a
-conjugate outside the enumerated group raises ``ExactnessError``.  The
-two class invariants are read off every element as plain tuples of cycle
-lengths, and the ``AlphaSystem`` and ``Partition`` labels are built once
-per class.  Each class keeps its members, which every subgroup's
-fixed-coset count then reads.  A canonical subgroup's element
-concatenates one (perm, signs) pair per block, each block's pairs built
-straight from ``itertools``.  The restriction takes each irreducible row's
-values at every element once, as a flat list, and each multiplicity is
-one sum of products of two such lists.  Rank is capped at ``MAX_RANK``
-(2**6 * 6! = 46080 elements); the coset and restriction brute force stop
-at ``COSET_MAX_RANK``.
+element.  Each generator has its own conjugation map, a few tuple
+operations in place of the general group law ``conjugate``: the sign flip
+negates at most two signs, a transposition swaps two positions and
+relabels two values.  Every conjugate is looked up among the enumerated
+elements in no class yet, so a conjugate outside the enumerated group
+raises ``ExactnessError``.  The two class invariants are read off every
+element as plain tuples of cycle lengths, and the ``AlphaSystem`` and
+``Partition`` labels are built once per class.  Each class keeps its
+members, which every subgroup's fixed-coset count then reads.  A
+canonical subgroup's element concatenates one (perm, signs) pair per
+block, each block's pairs built straight from ``itertools``.  The
+restriction takes each irreducible row's values at every element once,
+as a flat list, and each multiplicity is one sum of products of two such
+lists.  Rank is capped at ``MAX_RANK`` (2**6 * 6! = 46080 elements); the
+coset and restriction brute force stop at ``COSET_MAX_RANK``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import mul
+from operator import itemgetter, mul
 
 from hobchar.combinatorics import Partition
 from hobchar.hyperoct import AlphaSystem, SignedSubgroupLabel
@@ -159,6 +161,42 @@ def coxeter_generators(n: int) -> tuple[Element, ...]:
     return (flip, *swaps)
 
 
+def generator_conjugations(n: int) -> tuple:
+    """For each of the ``coxeter_generators(n)`` s, in their order, the map
+    g -> s g s^-1, equal to ``conjugate(g, s)``.
+
+    Conjugating by the flip at point 1 negates the signs at 1 and at g(1),
+    or neither when g fixes 1.  Conjugating by the swap of i and i + 1
+    swaps those two positions of perm and of signs and relabels the values
+    i and i + 1 of perm."""
+
+    def flip(g: Element) -> Element:
+        perm, signs = g
+        j = perm[0]
+        if j == 1:
+            return g
+        flipped = list(signs)
+        flipped[0] = -flipped[0]
+        flipped[j - 1] = -flipped[j - 1]
+        return (perm, tuple(flipped))
+
+    def swap(i: int):
+        order = list(range(n))
+        order[i - 1], order[i] = i, i - 1
+        pick = itemgetter(*order)
+        values = list(range(n + 1))
+        values[i], values[i + 1] = i + 1, i
+        relabel = values.__getitem__
+
+        def conj(g: Element) -> Element:
+            perm, signs = g
+            return (tuple(map(relabel, pick(perm))), pick(signs))
+
+        return conj
+
+    return (flip, *map(swap, range(1, n)))
+
+
 @lru_cache(maxsize=None)
 def oracle_class_data(n: int) -> tuple[OracleClass, ...]:
     """Conjugacy classes as orbits under conjugation by the generators.
@@ -166,22 +204,23 @@ def oracle_class_data(n: int) -> tuple[OracleClass, ...]:
     Every element is enumerated.  The first element not yet in a class
     starts a new one, which is closed breadth first: each member found is
     conjugated by each Coxeter generator, every other member is the result
-    of such an explicit conjugation, and each new conjugate must be one of
-    the enumerated elements in no class yet.  The generators generate the
-    group, so the orbit is the whole class.  Classes are ordered by first
-    occurrence in the element enumeration; the representative is the
-    lexicographically minimal member, and the members are kept for the
-    fixed-coset counts.  The signed cycle lengths and the ambient cycle
-    lengths are read off every member as tuples and must be constant on
-    the class; the class's two labels are built from them once.  The class
-    sizes must sum to the 2**n n! elements enumerated.
+    of such an explicit conjugation (``generator_conjugations``), and each
+    new conjugate must be one of the enumerated elements in no class yet.
+    The generators generate the group, so the orbit is the whole class.
+    Classes are ordered by first occurrence in the element enumeration;
+    the representative is the lexicographically minimal member, and the
+    members are kept for the fixed-coset counts.  The signed cycle
+    lengths and the ambient cycle lengths are read off every member as
+    tuples and must be constant on the class; the class's two labels are
+    built from them once.  The class sizes must sum to the 2**n n!
+    elements enumerated.
     """
     _check_rank(n)
     elements = enumerate_group(n)
     # every element in no class yet; a closed class is closed under the
     # generators, so a conjugate missing here is not in the enumeration
     unassigned = set(elements)
-    generators = coxeter_generators(n)
+    generators = tuple(zip(coxeter_generators(n), generator_conjugations(n)))
     out = []
     for g in elements:
         if g not in unassigned:
@@ -190,8 +229,8 @@ def oracle_class_data(n: int) -> tuple[OracleClass, ...]:
         members = {g}
         queue = [g]
         for h in queue:  # grows as the orbit is found: breadth first
-            for s in generators:
-                c = conjugate(h, s)
+            for s, by_s in generators:
+                c = by_s(h)
                 if c in members:
                     continue
                 try:

@@ -5,7 +5,10 @@ produces.  JSON is the schema of record (versioned, lossless); CSV,
 LaTeX, and the pretty grid render exactly the same integers.  ``render``
 is the one place an output format is chosen, for tables, for the class
 listings of ``hobchar classes`` and for the reports of ``hobchar verify``
-alike.  The cache stores one JSON file per (group, n, kind), ending in a
+alike.  The JSON text is exactly ``json.dumps(payload, indent=2)``, but
+built by joins: with ``indent`` set, CPython's ``json`` leaves its C
+encoder for a pure-Python one, which cost a large table about twice the
+time.  The cache stores one JSON file per (group, n, kind), ending in a
 SHA-256 of the text before it, and treats anything it cannot validate as
 a miss.
 """
@@ -19,6 +22,7 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 SCHEMA_VERSION = 1
@@ -67,12 +71,12 @@ class TableDocument:
         for row in self.entries:
             if len(row) != len(self.col_labels):
                 raise ValueError("entry columns do not match column labels")
-            if any(type(v) is not int for v in row):
+            if not set(map(type, row)) <= {int}:
                 raise ValueError("entries must be integers")
         if self.col_class_orders is not None:
             if len(self.col_class_orders) != len(self.col_labels):
                 raise ValueError("class orders do not match column labels")
-            if any(type(v) is not int for v in self.col_class_orders):
+            if not set(map(type, self.col_class_orders)) <= {int}:
                 raise ValueError("class orders must be integers")
 
     @classmethod
@@ -82,6 +86,14 @@ class TableDocument:
         if data.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema version {data.get('schema_version')!r}")
         try:
+            # a string here would become one label or row per character
+            for key in ("row_labels", "col_labels", "entries"):
+                if type(data[key]) is not list:
+                    raise ValueError(f"{key} must be a JSON array")
+            if not set(map(type, data["entries"])) <= {list}:
+                raise ValueError("each entry row must be a JSON array")
+            if type(data["col_class_orders"]) not in (list, type(None)):
+                raise ValueError("col_class_orders must be a JSON array or null")
             return cls(
                 group=data["group"],
                 n=data["n"],
@@ -109,6 +121,42 @@ def document_from(table, group, n, kind) -> TableDocument:
     )
 
 
+def _json_text(value, pad: str) -> str:
+    """``json.dumps(value, indent=2)``, continued at indent ``pad``.
+
+    An exact int is its ``repr`` and an exact str its
+    ``encode_basestring_ascii``, the string encoder of ``json.dumps`` under
+    its default ``ensure_ascii``; a list or tuple of either alone is one
+    C-level join.  The type tests are exact because a bool is an int that
+    renders as ``true``.  Every other scalar goes through ``json.dumps``."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return repr(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [
+            encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+            for k, v in value.items()
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        types = set(map(type, value))
+        if types == {int}:
+            items = map(repr, value)
+        elif types == {str}:
+            items = map(encode_basestring_ascii, value)
+        else:
+            items = [_json_text(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return json.dumps(value)
+
+
 def to_json(doc) -> str:
     """The one JSON writer, for every payload that ``render`` takes."""
     if isinstance(doc, tuple):
@@ -127,14 +175,12 @@ def to_json(doc) -> str:
             "group": doc.group,
             "n": doc.n,
             "kind": doc.kind,
-            "row_labels": list(doc.row_labels),
-            "col_labels": list(doc.col_labels),
-            "col_class_orders": (
-                list(doc.col_class_orders) if doc.col_class_orders is not None else None
-            ),
-            "entries": [list(r) for r in doc.entries],
+            "row_labels": doc.row_labels,
+            "col_labels": doc.col_labels,
+            "col_class_orders": doc.col_class_orders,
+            "entries": doc.entries,
         }
-    return json.dumps(payload, indent=2) + "\n"
+    return _json_text(payload, "") + "\n"
 
 
 def from_json(text: str) -> TableDocument:
@@ -169,11 +215,12 @@ def to_latex(doc) -> str:
         body = [[r.check, str(r.n), "pass" if r.passed else "FAIL"] for r in doc]
     else:
         spec = "r|" + "r" * len(doc.col_labels)
-        heads = [[""] + list(doc.col_labels)]
+        # a document holds exact ints, whose repr is their str, and quicker
+        heads = [["", *doc.col_labels]]
         if doc.col_class_orders is not None:
-            heads.append(["order"] + [str(v) for v in doc.col_class_orders])
+            heads.append(["order", *map(repr, doc.col_class_orders)])
         rows = zip(doc.row_labels, doc.entries)
-        body = [[label] + [str(v) for v in row] for label, row in rows]
+        body = [[label, *map(repr, row)] for label, row in rows]
     lines = [r"\begin{tabular}{" + spec + "}"]
     for row in heads:
         lines += [" & ".join(row) + r" \\", r"\hline"]
@@ -188,18 +235,12 @@ def to_pretty(doc) -> str:
         return "\n".join(f"{l.rjust(width)}  {o}" for l, o in doc[2]) + "\n"
     if isinstance(doc, list):
         return "\n".join(r.line() for r in doc) + "\n"
-    header = [""] + list(doc.col_labels)
-    body = []
+    lines = [["", *doc.col_labels]]
     if doc.col_class_orders is not None:
-        body.append(["order"] + [str(v) for v in doc.col_class_orders])
-    for label, row in zip(doc.row_labels, doc.entries):
-        body.append([label] + [str(v) for v in row])
-    widths = [
-        max(len(line[c]) for line in [header] + body) for c in range(len(header))
-    ]
-    out = []
-    for line in [header] + body:
-        out.append("  ".join(cell.rjust(w) for cell, w in zip(line, widths)).rstrip())
+        lines.append(["order", *map(repr, doc.col_class_orders)])
+    lines += [[label, *map(repr, row)] for label, row in zip(doc.row_labels, doc.entries)]
+    widths = [max(map(len, col)) for col in zip(*lines)]
+    out = ["  ".join(map(str.rjust, line, widths)).rstrip() for line in lines]
     return "\n".join(out) + "\n"
 
 

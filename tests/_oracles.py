@@ -2,12 +2,14 @@
 
 These deliberately re-derive quantities through different algorithms than
 the package (recursive counting, exhaustive filtering, polynomial
-expansion, generic Gaussian elimination) so agreement is meaningful.
+expansion, generic Gaussian elimination, the standard library's
+``json.dumps`` for the JSON writer) so agreement is meaningful.
 """
 
 import csv
 import io
 import itertools
+import json
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -567,3 +569,67 @@ def reference_induced_column(pos, neg, rows):
         states = tuple(sorted(((p, f, 0) for p, f in zip(parts, flags)), reverse=True))
         out.append((1 << sum(flags)) * _reference_place(cycles, memo, 0, states))
     return tuple(out)
+
+
+def reference_json(doc):
+    """The JSON text of a table document, a ``(group, n, [(label, order),
+    ...])`` class listing or a list of check reports, as
+    ``json.dumps(payload, indent=2)`` writes it from lists."""
+    if isinstance(doc, tuple):
+        group, n, classes = doc
+        payload = {
+            "schema_version": 1,
+            "group": group,
+            "n": n,
+            "classes": [{"label": l, "order": o} for l, o in classes],
+        }
+    elif isinstance(doc, list):
+        payload = {"schema_version": 1, "reports": [r.to_dict() for r in doc]}
+    else:
+        payload = {
+            "schema_version": 1,
+            "group": doc.group,
+            "n": doc.n,
+            "kind": doc.kind,
+            "row_labels": list(doc.row_labels),
+            "col_labels": list(doc.col_labels),
+            "col_class_orders": (
+                list(doc.col_class_orders) if doc.col_class_orders is not None else None
+            ),
+            "entries": [list(r) for r in doc.entries],
+        }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def reference_latex(doc):
+    """The LaTeX tabular of a table document, its grid built cell by cell."""
+    spec = "r|" + "r" * len(doc.col_labels)
+    heads = [[""] + list(doc.col_labels)]
+    if doc.col_class_orders is not None:
+        heads.append(["order"] + [str(v) for v in doc.col_class_orders])
+    rows = zip(doc.row_labels, doc.entries)
+    body = [[label] + [str(v) for v in row] for label, row in rows]
+    lines = [r"\begin{tabular}{" + spec + "}"]
+    for row in heads:
+        lines += [" & ".join(row) + r" \\", r"\hline"]
+    lines += [" & ".join(row) + r" \\" for row in body]
+    lines.append(r"\end{tabular}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_pretty(doc):
+    """The right-aligned text grid of a table document, each column's width
+    found by indexing every line."""
+    header = [""] + list(doc.col_labels)
+    body = []
+    if doc.col_class_orders is not None:
+        body.append(["order"] + [str(v) for v in doc.col_class_orders])
+    for label, row in zip(doc.row_labels, doc.entries):
+        body.append([label] + [str(v) for v in row])
+    widths = [
+        max(len(line[c]) for line in [header] + body) for c in range(len(header))
+    ]
+    out = []
+    for line in [header] + body:
+        out.append("  ".join(cell.rjust(w) for cell, w in zip(line, widths)).rstrip())
+    return "\n".join(out) + "\n"

@@ -58,7 +58,8 @@ class TestSignedPermutation:
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_conjugate_is_the_triple_product(self, n):
-        # the one conjugation, which the class closure runs, is x * g * x^-1
+        # the general conjugation, against which the class closure's
+        # per-generator maps are checked, is x * g * x^-1
         elements = enumerate_group(n)
         for g in elements:
             for x in elements:
@@ -71,6 +72,16 @@ class TestSignedPermutation:
         for _ in range(500):
             g, x = rng.choice(elements), rng.choice(elements)
             assert conjugate(g, x) == mul(mul(x, g), inverse(x))
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    def test_generator_conjugations_are_conjugate(self, n):
+        # the class closure conjugates by each generator through its own map
+        generators = oracle.coxeter_generators(n)
+        maps = oracle.generator_conjugations(n)
+        assert len(maps) == len(generators) == n
+        for s, by_s in zip(generators, maps):
+            for g in enumerate_group(n):
+                assert by_s(g) == conjugate(g, s)
 
     def test_conjugate_rejects_rank_mismatch(self):
         with pytest.raises(ValueError, match="rank mismatch"):

@@ -5,12 +5,19 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hobchar import cli, hyperoct, symmetric
 from hobchar.hyperoct import hob_induced_table, hob_irreducible_table
+from hobchar.reports import CheckReport, mismatch
 from hobchar.serialize import (
+    GROUPS,
+    KINDS,
     CacheWarning,
     TableCache,
     TableDocument,
+    _json_text,
     document_from,
     from_json,
     render,
@@ -22,7 +29,7 @@ from hobchar.serialize import (
 from hobchar.symmetric import sym_induced_table, sym_irreducible_table
 from hobchar.tables import BranchingMatrix
 
-from _oracles import parse_csv
+from _oracles import parse_csv, reference_json, reference_latex, reference_pretty
 
 
 def sample_documents(max_rank=3):
@@ -132,6 +139,130 @@ class TestDocuments:
                 ),
             ):
                 assert from_json(to_json(doc)) == doc
+
+
+def cli_document_keys(max_degree=10, max_rank=5):
+    """(group, n, kind) of every document ``hobchar table`` and ``hobchar
+    fchar`` write, up to S_10 and rank 5."""
+    keys = []
+    for n in range(1, max_degree + 1):
+        kinds = ["induced", "irreducible", "transition"]
+        if n % 2 == 0:
+            kinds += ["modified-induced", "modified-irreducible"]
+        keys += [("sym", n, kind) for kind in kinds]
+    for n in range(1, max_rank + 1):
+        keys += [("hyperoct", n, kind) for kind in ("induced", "irreducible", "transition")]
+        keys.append(("sym", 2 * n, "fchar"))
+    return keys
+
+
+def check_all_formats(doc):
+    """JSON, LaTeX and the pretty grid equal the reference writers; CSV
+    parses back to the document."""
+    assert to_json(doc) == reference_json(doc)
+    assert to_latex(doc) == reference_latex(doc)
+    assert to_pretty(doc) == reference_pretty(doc)
+    row_labels, col_labels, orders, entries = parse_csv(to_csv(doc))
+    assert (row_labels, col_labels, orders, entries) == (
+        doc.row_labels, doc.col_labels, doc.col_class_orders, doc.entries
+    )
+
+
+class TestWritersAgainstReference:
+    """The writers build their text by joins; the references build it
+    through ``json.dumps(payload, indent=2)`` and cell by cell."""
+
+    @pytest.mark.parametrize("key", cli_document_keys(), ids=lambda k: "-".join(map(str, k)))
+    def test_cli_document(self, key):
+        check_all_formats(cli._compute_table_document(*key))
+
+    def test_class_listings(self):
+        listings = [
+            ("sym", n, [(ct.label, order) for ct, order in symmetric.sym_classes(n)])
+            for n in range(1, 11)
+        ] + [
+            ("hyperoct", n, [(a.label, order) for a, order in hyperoct.hob_classes(n)])
+            for n in range(1, 6)
+        ]
+        for listing in listings:
+            assert to_json(listing) == reference_json(listing)
+
+    def test_reports(self):
+        reports = [
+            CheckReport(check="eq8", n=1, passed=True),
+            CheckReport(check="oracle", n=5, passed=True, note="classes only"),
+            mismatch("oracle", 2, "2,1", "(1;1)", 3, -4),
+            mismatch("orthogonality-sym", 3, "é\"", "\\", "12", "0"),
+        ]
+        for doc in ([], reports[:1], reports):
+            assert to_json(doc) == reference_json(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_synthetic_documents(self, data):
+        nrows = data.draw(st.integers(0, 6), label="rows")
+        ncols = data.draw(st.integers(0, 6), label="columns")
+        # no "#", which would let a row label pose as the CSV order row,
+        # and no control characters, which CSV does not round-trip
+        label = st.text(
+            st.characters(blacklist_categories=("Cs", "Cc"), blacklist_characters="#"),
+            max_size=8,
+        )
+        wide = st.integers(-99, 99) | st.integers(-(2**80), 2**80)
+        doc = TableDocument(
+            group=data.draw(st.sampled_from(GROUPS)),
+            n=data.draw(st.integers(-3, 12)),
+            kind=data.draw(st.sampled_from(KINDS)),
+            row_labels=data.draw(st.lists(label, min_size=nrows, max_size=nrows)),
+            col_labels=data.draw(st.lists(label, min_size=ncols, max_size=ncols)),
+            col_class_orders=data.draw(
+                st.none() | st.lists(wide, min_size=ncols, max_size=ncols)
+            ),
+            entries=data.draw(
+                st.lists(
+                    st.lists(wide, min_size=ncols, max_size=ncols),
+                    min_size=nrows,
+                    max_size=nrows,
+                )
+            ),
+        )
+        check_all_formats(doc)
+
+
+# every JSON scalar the writers meet, and more: any text, ints past 64 bits,
+# bools beside ints, null
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**100), 2**100),
+    st.text(),
+)
+json_values = st.recursive(
+    json_scalars
+    | st.lists(st.integers(-(2**70), 2**70))
+    | st.lists(st.text()).map(tuple)
+    | st.lists(st.integers() | st.booleans()),
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.dictionaries(st.text(), children, max_size=5)
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    @example({"a": [], "b": (), "c": {}, "d": [[]], "e": [{}]})
+    @example(["\x00\x1f\"\\\u2028é\U0001f600", "plain"])
+    @example([-1, 2**64, -(2**64) - 1, 0])
+    @example([1, True, 0, False])
+    @example((True,))
+    @example({"k\u00e9\"\\\n": ({"x": None},)})
+    def test_equals_json_dumps_indent_2(self, value):
+        assert _json_text(value, "") == json.dumps(value, indent=2)
 
 
 class TestNormalisation:
@@ -250,6 +381,45 @@ class TestCache:
         assert [str(w.message) for w in caught] == [
             f"cache file {path} fails its checksum; ignoring"
         ]
+
+    @pytest.mark.parametrize(
+        "where, bad",
+        [
+            (("row_labels",), "21"),
+            (("col_labels",), "12"),
+            (("entries",), "11"),
+            (("entries", 1), "20"),
+            (("col_class_orders",), "11"),
+            (("col_class_orders",), {"a": 1, "b": 1}),
+        ],
+    )
+    def test_non_array_is_a_miss(self, tmp_path, where, bad):
+        # a string of as many characters as labels used to be served, one
+        # label per character, under a checksum that matched its text
+        cache = TableCache(tmp_path)
+        cache.store(document_from(sym_induced_table(2), "sym", 2, "induced"))
+        path = cache.path("sym", 2, "induced")
+        data = json.loads(path.read_text())
+        del data["sha256"]
+
+        def write_checksummed():
+            head = json.dumps(data, indent=2)[: -len("\n}")]
+            digest = hashlib.sha256(head.encode()).hexdigest()
+            path.write_text(head + f',\n  "sha256": "{digest}"\n}}\n')
+
+        write_checksummed()
+        assert cache.lookup("sym", 2, "induced") is not None  # a hit as written
+        *keys, last = where
+        target = data
+        for key in keys:
+            target = target[key]
+        target[last] = bad
+        write_checksummed()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cache.lookup("sym", 2, "induced") is None
+        assert [w.category for w in caught] == [CacheWarning]
+        assert "must be a JSON array" in str(caught[0].message)
 
     def test_undecodable_file_is_a_miss(self, tmp_path):
         cache = TableCache(tmp_path)
